@@ -3,7 +3,8 @@
 Subcommands: parse, eval, normalize, eq, simple, sumstar, check.  Exit
 codes: 0 when the command (or decided property) holds, 1 when a decision
 comes out negative or a check fails, 2 on malformed input.  Expressions are
-taken as one argument, or from a file with @path.
+taken as one argument, or from a file with @path; expressions and points
+may start with "-".
 """
 
 from __future__ import annotations
@@ -186,8 +187,20 @@ def cmd_check(args) -> int:
     return 0 if all(r.ok for r in results) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads an argument that starts with a single "-" and names no option
+    as a positional, so terms such as -x and points such as -1/2 need no
+    "--" before them."""
+
+    def _parse_optional(self, arg_string):
+        if (arg_string.startswith("-") and not arg_string.startswith("--")
+                and arg_string not in self._option_string_actions):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="meadows",
         description="Exact normalization of univariate meadow terms "
                     "(total division, x/0 = 0) into mixed fractions, with "

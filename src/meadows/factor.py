@@ -24,6 +24,16 @@ from .poly import P_ONE, Poly, squarefree_part
 from .rationals import Rat
 
 
+class FactorizationError(RuntimeError):
+    """An internal invariant of the factorization pipeline failed.  This
+    signals a defect in the algorithm, never malformed input."""
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise FactorizationError(message)
+
+
 @dataclass(frozen=True)
 class Factorization:
     """unit * product(factor^multiplicity) = the factored polynomial.
@@ -68,7 +78,7 @@ def factor_rationals(p: Poly) -> Factorization:
             else:
                 break
         factors.append((q, mult))
-    assert rest == P_ONE, "factor reconstruction left a non-unit remainder"
+    _require(rest == P_ONE, "factor reconstruction left a non-unit remainder")
     return Factorization(unit, tuple(factors))
 
 
@@ -134,7 +144,8 @@ def _factor_squarefree_primitive(f: Poly) -> list[Poly]:
     check = Poly.constant(1)
     for g in result:
         check = check * g
-    assert check == f, "monic back-substitution failed to reproduce the input"
+    _require(check == f,
+             "monic back-substitution failed to reproduce the input")
     return result
 
 
@@ -178,7 +189,7 @@ def _zz_sub(a: list[int], b: list[int], m: int | None = None) -> list[int]:
 
 def _zz_divmod_monic(a: list[int], b: list[int], m: int | None = None):
     """Quotient and remainder by a monic divisor (valid over Z and Z/m)."""
-    assert b and b[-1] == 1
+    _require(b and b[-1] == 1, "divisor is not monic")
     rem = list(a)
     db = len(b) - 1
     if len(a) - 1 < db:
@@ -352,12 +363,13 @@ def _hensel_lift_tree(f: list[int], mods: list[list[int]], p: int, modulus: int)
     for part in mods[mid:]:
         h = _zz_mul(h, part, p)
     one, s, t = _pz_xgcd(g, h, p)
-    assert one == [1], "modular factors are not coprime"
+    _require(one == [1], "modular factors are not coprime")
     m = p
     fm = [c % modulus for c in f]
     while m < modulus:
         g, h, s, t, m = _hensel_step(fm, g, h, s, t, m)
-    assert g and g[-1] == 1 and h and h[-1] == 1
+    _require(g and g[-1] == 1 and h and h[-1] == 1,
+             "Hensel lifting lost monic factors")
     return _hensel_lift_tree(g, mods[:mid], p, modulus) + _hensel_lift_tree(
         h, mods[mid:], p, modulus
     )
@@ -396,7 +408,7 @@ def _zassenhaus_monic(coeffs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
             best = (p, mods)
         if seen >= 3 or len(best[1]) <= 2:
             break
-    assert best is not None
+    _require(best is not None, "no prime keeps the reduction squarefree")
     p, mods = best
 
     # Landau-Mignotte: coefficients of any monic factor are bounded by
@@ -431,5 +443,6 @@ def _zassenhaus_monic(coeffs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         size += 1
     if len(remaining) - 1 >= 1:
         result.append(tuple(remaining))
-    assert sum(len(r) - 1 for r in result) == n
+    _require(sum(len(r) - 1 for r in result) == n,
+             "recombined factor degrees do not sum to the input degree")
     return tuple(result)

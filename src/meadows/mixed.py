@@ -37,13 +37,13 @@ from .normalform import (
     PointwiseNF,
     is_polynomial_nf,
     normalize,
+    quotient_inv,
 )
 from .poly import (
     P_ONE,
     P_ZERO,
     Poly,
     StdPoly,
-    invert_mod,
     lagrange_interpolate,
     lagrange_weights,
     standardize,
@@ -218,7 +218,7 @@ def emit_mixed_c(nf: AlgebraicNF, check: bool = False) -> MixedFraction:
         if v.is_zero():
             coeff = P_ZERO
         else:
-            coeff = (v * invert_mod(h % r, r)) % r
+            coeff = (v * quotient_inv(h % r, r)) % r
         g = g + h * coeff
         targets.append(LocusTarget(r, v, coeff))
     e = build_indicator(loci).locus

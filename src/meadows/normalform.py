@@ -50,7 +50,10 @@ class LocusMustSplitError(ValueError):
 
 
 def _reduce(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """Cancel the gcd and normalize den to primitive, positive leading."""
+    """Cancel the gcd and normalize den to primitive, positive leading.
+    A polynomial (den = 1) is already in that form."""
+    if den == P_ONE:
+        return num, den
     if num.is_zero():
         return P_ZERO, P_ONE
     g = poly_gcd(num, den)
@@ -173,7 +176,7 @@ def _make_algebraic(num: Poly, den: Poly, candidates: dict[Poly, Poly]) -> Algeb
     return AlgebraicNF(num, den, tuple(kept))
 
 
-def _quotient_inv(a: Poly, modulus: Poly) -> Poly:
+def quotient_inv(a: Poly, modulus: Poly) -> Poly:
     """Meadow inverse in Q[x]/(modulus): 0 maps to 0, anything else to its
     Bezout inverse.  Detects reducible moduli via a nonunit gcd."""
     if a.is_zero():
@@ -185,7 +188,7 @@ def _quotient_inv(a: Poly, modulus: Poly) -> Poly:
 
 
 def _quotient_div(a: Poly, b: Poly, modulus: Poly) -> Poly:
-    return (a * _quotient_inv(b, modulus)) % modulus
+    return (a * quotient_inv(b, modulus)) % modulus
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +264,7 @@ def nf_inv(a: NF) -> NF:
         if a.num.is_zero():
             return _make_pointwise(P_ZERO, P_ONE, cands)
         return _make_pointwise(a.den, a.num, cands)
-    cands = {locus: _quotient_inv(s, locus) for locus, s in a.corrections}
+    cands = {locus: quotient_inv(s, locus) for locus, s in a.corrections}
     if a.num.is_zero():
         return _make_algebraic(P_ZERO, P_ONE, cands)
     return _make_algebraic(a.den, a.num, cands)
@@ -334,7 +337,7 @@ def eval_term_mod(t: Term, r: Poly) -> Poly:
             case Mul(u, v):
                 return (go(u) * go(v)) % r
             case Div(u, v):
-                return (go(u) * _quotient_inv(go(v), r)) % r
+                return (go(u) * quotient_inv(go(v), r)) % r
             case Pow(u, n):
                 base = go(u)
                 out = P_ONE % r
@@ -352,36 +355,30 @@ def eval_term_mod(t: Term, r: Poly) -> Poly:
     return go(t)
 
 
-def _const_nf(c: Rat, model: Model) -> NF:
+def _poly_nf(p: Poly, model: Model) -> NF:
     if model is Model.RAT:
-        return PointwiseNF(Poly.constant(c), P_ONE, ())
-    return AlgebraicNF(Poly.constant(c), P_ONE, ())
-
-
-def _var_nf(model: Model) -> NF:
-    if model is Model.RAT:
-        return PointwiseNF(P_X, P_ONE, ())
-    return AlgebraicNF(P_X, P_ONE, ())
+        return PointwiseNF(p, P_ONE, ())
+    return AlgebraicNF(p, P_ONE, ())
 
 
 def normalize(t: Term, model: Model) -> NF:
     """Normal form of a term in the given model.
 
     Structural recursion over the term: constants embed with denominator 1
-    and no corrections, the variable embeds as x/1, and each operator maps
-    to the corresponding closure operation (division via inverse).  The
-    result evaluates exactly like the term everywhere on the model's
-    carrier.
+    and no corrections, the variable and its powers embed as x^n/1, and
+    each operator maps to the corresponding closure operation (division via
+    inverse).  The result evaluates exactly like the term everywhere on the
+    model's carrier.
     """
     match t:
         case Zero():
-            return _const_nf(Fraction(0), model)
+            return _poly_nf(P_ZERO, model)
         case One():
-            return _const_nf(Fraction(1), model)
+            return _poly_nf(P_ONE, model)
         case IntLit(n):
-            return _const_nf(Fraction(n), model)
+            return _poly_nf(Poly.constant(n), model)
         case Var():
-            return _var_nf(model)
+            return _poly_nf(P_X, model)
         case Neg(u):
             return nf_neg(normalize(u, model))
         case Add(u, v):
@@ -390,9 +387,11 @@ def normalize(t: Term, model: Model) -> NF:
             return nf_mul(normalize(u, model), normalize(v, model))
         case Div(u, v):
             return nf_div(normalize(u, model), normalize(v, model))
+        case Pow(Var(), n):
+            return _poly_nf(Poly.x(n), model)
         case Pow(u, n):
             base = normalize(u, model)
-            out = _const_nf(Fraction(1), model)
+            out = _poly_nf(P_ONE, model)
             while n:
                 if n & 1:
                     out = nf_mul(out, base)

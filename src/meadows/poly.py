@@ -33,7 +33,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -50,10 +50,6 @@ class Poly:
     @staticmethod
     def x(power: int = 1) -> "Poly":
         return Poly((0,) * power + (1,))
-
-    @staticmethod
-    def from_int_coeffs(coeffs) -> "Poly":
-        return Poly(coeffs)
 
     # -- basic queries
 
@@ -111,19 +107,28 @@ class Poly:
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             return self.scale(Fraction(other))
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
+        if not self.coeffs or not other.coeffs:
             return Poly()
-        cs = [Fraction(0)] * (len(a) + len(b) - 1)
+        if len(other.coeffs) == 1:
+            return self.scale(other.coeffs[0])
+        if len(self.coeffs) == 1:
+            return other.scale(self.coeffs[0])
+        # Convolve integer numerators over the two common denominators.
+        a, da = _integer_form(self.coeffs)
+        b, db = _integer_form(other.coeffs)
+        cs = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     cs[i + j] += ai * bj
-        return Poly(cs)
+        d = da * db
+        return Poly([Fraction(c, d) for c in cs])
 
     __rmul__ = __mul__
 
     def scale(self, c: Fraction) -> "Poly":
+        if c == 1:
+            return self
         if c == 0:
             return Poly()
         return Poly(tuple(x * c for x in self.coeffs))
@@ -237,6 +242,15 @@ class Poly:
         return out
 
 
+def _integer_form(coeffs) -> tuple[list[int], int]:
+    """Integer numerators over the least common denominator l of the given
+    Fraction coefficients: coeffs[i] = nums[i] / l."""
+    l = 1
+    for c in coeffs:
+        l = l * c.denominator // math.gcd(l, c.denominator)
+    return [c.numerator * (l // c.denominator) for c in coeffs], l
+
+
 P_ZERO = Poly()
 P_ONE = Poly.constant(1)
 P_X = Poly.x()
@@ -317,14 +331,6 @@ def poly_bezout(r: Poly, v: Poly) -> tuple[Poly, Poly, Poly]:
     lead = r0.lead
     g = r0.scale(1 / lead)
     return g, t0.scale(1 / lead), s0.scale(1 / lead)
-
-
-def invert_mod(a: Poly, modulus: Poly) -> Poly:
-    """Inverse of a modulo the given polynomial; requires gcd(a, mod) = 1."""
-    g, _, vp = poly_bezout(a, modulus)
-    if g != P_ONE:
-        raise ValueError(f"not invertible: gcd is {g}")
-    return vp % modulus
 
 
 # ---------------------------------------------------------------------------
@@ -457,11 +463,8 @@ def standardize(p: Poly) -> StdPoly:
     """Minimal common-denominator form of p: l is the lcm of the reduced
     coefficient denominators and the numerators are the scaled
     coefficients."""
-    l = 1
-    for c in p.coeffs:
-        l = l * c.denominator // math.gcd(l, c.denominator)
-    nums = tuple(c.numerator * (l // c.denominator) for c in p.coeffs)
-    return StdPoly(nums, l)
+    nums, l = _integer_form(p.coeffs)
+    return StdPoly(tuple(nums), l)
 
 
 def appendix_oracle(b: list[Rat], a: list[Rat]) -> StdPoly:

@@ -174,3 +174,31 @@ def test_normalize_output_deterministic(capsys):
     _, out1, _ = run(capsys, "normalize", "--output", "json", EXAMPLE2)
     _, out2, _ = run(capsys, "normalize", "--output", "json", EXAMPLE2)
     assert out1 == out2
+
+
+def test_eval_negative_point(capsys):
+    code, out, _ = run(capsys, "eval", "x+1", "-1/2")
+    assert code == 0
+    assert out.strip() == "1/2"
+
+
+def test_normalize_expression_starting_with_minus(capsys):
+    code, out, _ = run(capsys, "normalize", "-x")
+    assert code == 0
+    assert (code, out) == run(capsys, "normalize", "--", "-x")[:2]
+
+
+def test_options_around_expression_starting_with_minus(capsys):
+    expected = run(capsys, "normalize", "--model", "c", "--output", "json",
+                   "--", "-x/x")
+    assert expected[0] == 0
+    assert json.loads(expected[1])["model"] == "C"
+    for argv in (
+        ("--model", "c", "--output", "json", "-x/x"),
+        ("-x/x", "--model", "c", "--output", "json"),
+        ("--model", "c", "-x/x", "--output", "json"),
+    ):
+        assert run(capsys, "normalize", *argv) == expected
+    code, out, _ = run(capsys, "eval", "-x^2", "-3", "--output", "json")
+    assert code == 0
+    assert json.loads(out) == {"value": "-9"}

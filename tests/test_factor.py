@@ -7,6 +7,8 @@ import pytest
 from meadows.checks import check_factor_reconstruction
 from meadows.factor import (
     Factorization,
+    FactorizationError,
+    _zz_divmod_monic,
     distinct_irreducible_factors,
     factor_rationals,
     rational_roots_from_factors,
@@ -178,3 +180,11 @@ def test_distinct_factors_ignore_multiplicity():
 def test_factorization_dataclass_product_of_unit():
     fact = Factorization(Fraction(7), ())
     assert fact.product() == Poly.constant(7)
+
+
+def test_monic_division_rejects_non_monic_divisor():
+    assert _zz_divmod_monic([2, 3, 1], [1, 1]) == ([2, 1], [])
+    with pytest.raises(FactorizationError, match="not monic"):
+        _zz_divmod_monic([2, 3, 1], [1, 2])
+    with pytest.raises(FactorizationError):
+        _zz_divmod_monic([2, 3, 1], [])

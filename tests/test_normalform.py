@@ -26,7 +26,7 @@ from meadows.normalform import (
     normalize,
 )
 from meadows.poly import P_ONE, P_ZERO, Poly
-from meadows.terms import parse
+from meadows.terms import Add, IntLit, Mul, Neg, ONE, Pow, X as VAR, ZERO, parse
 
 X = Poly((0, 1))
 
@@ -245,3 +245,40 @@ def test_json_serialization_shapes():
     nf_c = normalize(parse("1/(x^2-2) + 1/1"), Model.COMPLEX)
     d = nf_c.to_json_dict()
     assert d["corrections"] == [{"locus": ["-2", "0", "1"], "value": ["1"]}]
+
+
+def test_normalize_power_of_x_matches_repeated_mul():
+    for model in Model:
+        x_nf = normalize(VAR, model)
+        expected = normalize(ONE, model)
+        for n in range(71):
+            assert normalize(Pow(VAR, n), model) == expected
+            expected = nf_mul(expected, x_nf)
+
+
+def _division_free_term(rng: random.Random, depth: int):
+    if depth <= 0 or rng.random() < 0.3:
+        return rng.choice((VAR, VAR, ZERO, ONE, IntLit(rng.randint(2, 9))))
+    kind = rng.choice(("add", "mul", "neg", "pow"))
+    if kind == "neg":
+        return Neg(_division_free_term(rng, depth - 1))
+    if kind == "pow":
+        return Pow(_division_free_term(rng, depth - 1), rng.randint(0, 4))
+    node = Add if kind == "add" else Mul
+    return node(_division_free_term(rng, depth - 1),
+                _division_free_term(rng, depth - 1))
+
+
+def test_division_free_terms_normalize_to_polynomials():
+    rng = random.Random(42)
+    points = [Fraction(k, 3) for k in range(-6, 7)]
+    for _ in range(150):
+        t = _division_free_term(rng, 5)
+        for model in Model:
+            nf = normalize(t, model)
+            assert nf.den == P_ONE
+            corrections = (nf.exceptions if model is Model.RAT
+                           else nf.corrections)
+            assert corrections == ()
+            for a in points:
+                assert nf.num(a) == eval_term(t, a)

@@ -271,3 +271,50 @@ def test_trace_sum_against_floating_roots():
         assert abs(float(exact) - approx.real) < 1e-9
         assert abs(approx.imag) < 1e-9
         done += 1
+
+
+def naive_product(a: Poly, b: Poly) -> list[Fraction]:
+    """Schoolbook Fraction convolution, independent of Poly.__mul__."""
+    if not a.coeffs or not b.coeffs:
+        return []
+    out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, ai in enumerate(a.coeffs):
+        for j, bj in enumerate(b.coeffs):
+            out[i + j] += ai * bj
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _mixed_denominator_poly(rng: random.Random) -> Poly:
+    kind = rng.randrange(5)
+    if kind == 0:
+        return P_ZERO
+    if kind == 1:
+        return Poly.constant(Fraction(rng.randint(-30, 30), rng.randint(1, 12)))
+    if kind == 2:
+        return Poly.x(rng.randint(0, 12)).scale(
+            Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)))
+    return Poly(tuple(
+        Fraction(rng.randint(-50, 50), rng.randint(1, 40)) if rng.random() < 0.7
+        else Fraction(0)
+        for _ in range(rng.randint(1, 14))
+    ))
+
+
+def test_mul_matches_naive_fraction_convolution():
+    rng = random.Random(41)
+    for _ in range(400):
+        a, b = _mixed_denominator_poly(rng), _mixed_denominator_poly(rng)
+        product = a * b
+        assert list(product.coeffs) == naive_product(a, b)
+        assert all(type(c) is Fraction for c in product.coeffs)
+        assert product == b * a
+
+
+def test_mul_keeps_reduced_fractions_and_scale_by_one():
+    p = Poly((Fraction(1, 2), Fraction(1, 3)))
+    q = Poly((Fraction(2, 3), Fraction(-3, 4)))
+    assert (p * q).coeffs == (Fraction(1, 3), Fraction(-11, 72), Fraction(-1, 4))
+    assert p.scale(1) is p
+    assert Poly(p.coeffs).coeffs == p.coeffs

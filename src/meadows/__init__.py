@@ -27,22 +27,18 @@ from .mixed import (
     PointTarget,
     build_indicator,
     emit,
-    emit_mixed_c,
-    emit_mixed_q,
     emit_with_witness,
     mixed_to_json_dict,
     to_term,
 )
 from .normalform import (
-    AlgebraicNF,
+    NF,
     LocusMustSplitError,
     Model,
-    PointwiseNF,
     eval_term,
     eval_term_mod,
     nf_add,
     nf_div,
-    nf_eval,
     nf_inv,
     nf_mul,
     nf_neg,
@@ -61,7 +57,7 @@ from .poly import (
     standardize,
     trace_sum,
 )
-from .rationals import Rat, eval_closed, format_rat, meadow_div, meadow_inv, parse_rat
+from .rationals import Rat, eval_closed, meadow_div, meadow_inv
 from .terms import (
     Add,
     Div,

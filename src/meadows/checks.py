@@ -22,14 +22,15 @@ from .generate import (
 )
 from .normalform import (
     Model,
+    candidate_loci,
     eval_term,
     eval_term_mod,
     nf_add,
-    nf_eval,
     nf_inv,
     nf_mul,
     nf_neg,
     normalize,
+    root,
 )
 from .poly import (
     P_ONE,
@@ -215,9 +216,7 @@ def check_rational_roots_oracle(seed: int = 0, rounds: int = 100) -> CheckResult
         if got != expected:
             return CheckResult("rational-roots", False,
                                f"{p}: {got} != {expected}")
-        from .factor import rational_roots_from_factors
-
-        if set(rational_roots_from_factors(p)) != expected:
+        if {root(r) for r in candidate_loci(Model.RAT, p)} != expected:
             return CheckResult("rational-roots", False,
                                f"factor-based roots disagree on {p}")
     return CheckResult("rational-roots", True, f"{rounds} polynomials")
@@ -275,10 +274,10 @@ def check_nf_soundness(seed: int = 0, rounds: int = 1000,
         for _ in range(points):
             pt = random_rat(rng)
             expected = eval_term(t, pt)
-            if nf_eval(nf_q, pt) != expected:
+            if nf_q.value_at(pt) != expected:
                 return CheckResult("nf-soundness", False,
                                    f"Q model: {format_term(t)} at {pt}")
-            if nf_eval(nf_c, pt) != expected:
+            if nf_c.value_at(pt) != expected:
                 return CheckResult("nf-soundness", False,
                                    f"C model: {format_term(t)} at {pt}")
     return CheckResult("nf-soundness", True,
@@ -318,7 +317,7 @@ def check_nf_canonicity(seed: int = 0, rounds: int = 100) -> CheckResult:
         for model in Model:
             ns, nt = normalize(s, model), normalize(t, model)
             agree_samples = all(
-                nf_eval(ns, pt) == nf_eval(nt, pt)
+                ns.value_at(pt) == nt.value_at(pt)
                 for pt in (random_rat(rng) for _ in range(100))
             )
             if ns == nt and not agree_samples:
@@ -351,16 +350,12 @@ def check_nf_minimality(seed: int = 0, rounds: int = 300) -> CheckResult:
     rng = random.Random(seed)
     for _ in range(rounds):
         t = random_term(rng, depth=5)
-        nf_q = normalize(t, Model.RAT)
-        for pt, v in nf_q.exceptions:
-            if v == nf_q.generic_at(pt):
-                return CheckResult("nf-minimality", False,
-                                   f"redundant exception at {pt}")
-        nf_c = normalize(t, Model.COMPLEX)
-        for r, s_val in nf_c.corrections:
-            if s_val == nf_c.generic_mod(r):
-                return CheckResult("nf-minimality", False,
-                                   f"redundant correction on {r}")
+        for model in Model:
+            nf = normalize(t, model)
+            for r, s_val in nf.corrections:
+                if s_val == nf.generic_mod(r):
+                    return CheckResult("nf-minimality", False,
+                                       f"redundant correction on {r}")
     return CheckResult("nf-minimality", True, f"{rounds} terms")
 
 
@@ -385,7 +380,7 @@ def check_model_refinement(seed: int = 0, rounds: int = 200) -> CheckResult:
                                    f"no complex locus covers {pt}")
         for _ in range(10):
             pt = random_rat(rng)
-            if nf_eval(nf_c, pt) != nf_eval(nf_q, pt):
+            if nf_c.value_at(pt) != nf_q.value_at(pt):
                 return CheckResult("model-refinement", False,
                                    f"{format_term(t)} at {pt}")
     return CheckResult("model-refinement", True, f"{rounds} terms")
@@ -400,13 +395,13 @@ def check_emission(seed: int = 0, rounds: int = 500,
     for _ in range(rounds):
         t = random_term(rng, depth=6)
         nf_q = normalize(t, Model.RAT)
-        mf_q = mixed.emit_mixed_q(nf_q)
+        mf_q = mixed.emit(nf_q)
         term_q = mixed.to_term(mf_q)
         if classify(term_q) is not TermClass.MIXED_FRACTION:
             return CheckResult("emission", False,
                                f"Q output not mixed: {format_term(term_q)}")
         nf_c = normalize(t, Model.COMPLEX)
-        mf_c = mixed.emit_mixed_c(nf_c)
+        mf_c = mixed.emit(nf_c)
         term_c = mixed.to_term(mf_c)
         if classify(term_c) is not TermClass.MIXED_FRACTION:
             return CheckResult("emission", False,

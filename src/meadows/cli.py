@@ -1,10 +1,16 @@
 """Command-line interface.
 
 Subcommands: parse, eval, normalize, eq, simple, sumstar, check.  Exit
-codes: 0 when the command (or decided property) holds, 1 when a decision
-comes out negative or a check fails, 2 on malformed input.  Expressions are
-taken as one argument, or from a file with @path; expressions and points
-may start with "-".
+codes:
+
+* 0 when the command (or decided property) holds;
+* 1 when a decision comes out negative or a check fails;
+* 2 on malformed input;
+* 3 when the input is nested too deeply for the recursive evaluator;
+* 4 on an internal error (a defect, reported on one ``error:`` line).
+
+Expressions are taken as one argument, or from a file with @path;
+expressions and points may start with "-".
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from . import checks
 from .decide import (
@@ -28,7 +35,7 @@ from .mixed import (
     to_term,
 )
 from .normalform import Model, eval_term, normalize
-from .rationals import eval_closed, format_rat, parse_rat
+from .rationals import eval_closed
 from .terms import TermSyntaxError, classify, format_term, parse
 
 
@@ -73,12 +80,11 @@ def cmd_parse(args) -> int:
 
 def cmd_eval(args) -> int:
     term = parse(_read_expr(args.expr))
-    point = parse_rat(args.point)
-    value = eval_term(term, point)
+    value = eval_term(term, Fraction(args.point))
     if args.output == "json":
-        _emit_json({"value": format_rat(value)})
+        _emit_json({"value": str(value)})
     else:
-        print(format_rat(value))
+        print(value)
     return 0
 
 
@@ -100,7 +106,7 @@ def cmd_normalize(args) -> int:
     print(f"witness n = {mf.witness_n}")
     if args.dump_nf:
         print(f"base = ({nf.num})/({nf.den})")
-        if hasattr(nf, "exceptions"):
+        if model is Model.RAT:
             for pt, v in nf.exceptions:
                 print(f"exception: x = {pt} -> {v}")
         else:
@@ -165,12 +171,12 @@ def cmd_sumstar(args) -> int:
     result = finite_support_sum(term, model)
     holds = sum_star_equals(term, closed, model)
     if args.output == "json":
-        _emit_json({"result": holds, "expected": format_rat(expected),
+        _emit_json({"result": holds, "expected": str(expected),
                     "sum": result.to_json_dict()})
     else:
-        print(f"sum* = {format_rat(result.value)} "
+        print(f"sum* = {result.value} "
               f"(support {'finite' if result.support_finite else 'infinite'}), "
-              f"target {format_rat(expected)}: "
+              f"target {expected}: "
               f"{'holds' if holds else 'fails'}")
     return 0 if holds else 1
 
@@ -276,6 +282,13 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return 3
+    except Exception as exc:  # a defect: report it, never as a verdict
+        print(f"error: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -7,9 +7,10 @@ holds exactly when every exceptional value is 0, in which case multiplying
 the reduced base through by the support product exhibits the fraction.
 Finite-support summation reduces to the normal form as well: a nonzero
 reduced base is nonzero at all but finitely many arguments, so the support
-is infinite and the sum is 0 by convention; otherwise the support lies in
-the exceptional set and the sum is computed exactly, over root loci via
-Newton-identity trace sums.
+is infinite and the sum is 0 by convention; otherwise the support lies on
+the correction loci and the sum is computed exactly from Newton-identity
+trace sums (on a linear locus, the value at its root).  Both models share
+one procedure; a rational-model witness is reported at a point.
 """
 
 from __future__ import annotations
@@ -19,13 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .mixed import _coeff_poly_term, build_indicator
-from .normalform import (
-    Model,
-    NF,
-    PointwiseNF,
-    eval_closed,
-    normalize,
-)
+from .factor import _order_key
+from .normalform import Model, NF, eval_closed, normalize, root
 from .poly import Poly, trace_sum
 from .rationals import Rat
 from .terms import Div, Term
@@ -73,48 +69,40 @@ class LocusWitness:
 
 def distinguishing_witness(s: Term, t: Term, model: Model):
     """Evidence for inequality: None when equal, else a point or locus
-    witness with the two differing values."""
+    witness with the two differing values.  Between equal bases the
+    witness is the first differing correction: over Q the least point,
+    over C the first locus in canonical order."""
     nf1 = normalize(s, model)
     nf2 = normalize(t, model)
     if nf1 == nf2:
         return None
     if (nf1.num, nf1.den) != (nf2.num, nf2.den):
         return _base_witness(nf1, nf2)
-    if isinstance(nf1, PointwiseNF):
-        pts = {pt for pt, _ in nf1.exceptions} | {pt for pt, _ in nf2.exceptions}
-        for pt in sorted(pts):
-            v1, v2 = nf1.value_at(pt), nf2.value_at(pt)
-            if v1 != v2:
-                return PointWitness(pt, v1, v2)
-    else:
-        loci = {r for r, _ in nf1.corrections} | {r for r, _ in nf2.corrections}
-        for r in sorted(loci, key=lambda r: (len(r.coeffs), r.coeffs)):
-            s1, s2 = nf1.value_mod(r), nf2.value_mod(r)
-            if s1 != s2:
-                return LocusWitness(r, s1, s2)
-    raise AssertionError("unequal normal forms must differ somewhere")
+    loci = {r for r, _ in nf1.corrections} | {r for r, _ in nf2.corrections}
+    differing = [r for r in loci if nf1.value_mod(r) != nf2.value_mod(r)]
+    if not differing:
+        raise AssertionError("unequal normal forms must differ somewhere")
+    if model is Model.RAT:
+        a = min(map(root, differing))
+        return PointWitness(a, nf1.value_at(a), nf2.value_at(a))
+    r = min(differing, key=_order_key)
+    return LocusWitness(r, nf1.value_mod(r), nf2.value_mod(r))
 
 
 def _base_witness(nf1: NF, nf2: NF) -> PointWitness:
     # The reduced bases differ as rational functions, so they differ at
     # every rational point outside a finite bad set: roots of the cross
-    # difference, of either denominator, and the exceptional support.
+    # difference, of either denominator, and the correction loci.
     diff = nf1.num * nf2.den - nf2.num * nf1.den
     k = 0
     while True:
         for a in (Fraction(k), Fraction(-k)):
             if diff(a) == 0 or nf1.den(a) == 0 or nf2.den(a) == 0:
                 continue
-            if _is_exceptional(nf1, a) or _is_exceptional(nf2, a):
+            if any(r(a) == 0 for nf in (nf1, nf2) for r, _ in nf.corrections):
                 continue
             return PointWitness(a, nf1.value_at(a), nf2.value_at(a))
         k += 1
-
-
-def _is_exceptional(nf: NF, a: Rat) -> bool:
-    if isinstance(nf, PointwiseNF):
-        return any(pt == a for pt, _ in nf.exceptions)
-    return any(r(a) == 0 for r, _ in nf.corrections)
 
 
 def simple_expressible(t: Term) -> Term | None:
@@ -127,9 +115,9 @@ def simple_expressible(t: Term) -> Term | None:
     exception points realizes the fraction.
     """
     nf = normalize(t, Model.RAT)
-    if any(v != 0 for _, v in nf.exceptions):
+    if any(not s.is_zero() for _, s in nf.corrections):
         return None
-    w = build_indicator(pt for pt, _ in nf.exceptions).locus
+    w = build_indicator(r for r, _ in nf.corrections).locus
     num = nf.num * w
     den = nf.den * w
     scale = 1
@@ -164,17 +152,13 @@ def finite_support_sum(t: Term, model: Model) -> SupportSum:
     nonzero, and 0 otherwise.
 
     With a nonzero reduced base the function is nonzero outside a finite
-    set, so the support is infinite.  With a zero base the support lies in
-    the exceptional set: the sum is the sum of exception values over the
-    rationals, or the trace-sum of each correction residue over its locus's
-    complex roots.
+    set, so the support is infinite.  With a zero base the support lies on
+    the correction loci: the sum is the trace-sum of each correction
+    residue over its locus's roots.
     """
     nf = normalize(t, model)
     if not nf.num.is_zero():
         return SupportSum(Fraction(0), False)
-    if isinstance(nf, PointwiseNF):
-        total = sum((v for _, v in nf.exceptions), Fraction(0))
-        return SupportSum(total, True)
     total = sum((trace_sum(s, r) for r, s in nf.corrections), Fraction(0))
     return SupportSum(total, True)
 

@@ -100,15 +100,6 @@ def _distinct_factors_of_primitive(coeffs: tuple[int, ...]) -> tuple[Poly, ...]:
     return _squarefree_factors_cached(sf.int_coeffs())
 
 
-def rational_roots_from_factors(p: Poly) -> frozenset[Rat]:
-    """Rational zeros of p, read off the linear irreducible factors."""
-    roots = set()
-    for f in distinct_irreducible_factors(p):
-        if len(f.coeffs) == 2:
-            roots.add(-f.coeffs[0] / f.coeffs[1])
-    return frozenset(roots)
-
-
 @lru_cache(maxsize=None)
 def _squarefree_factors_cached(coeffs: tuple[int, ...]) -> tuple[Poly, ...]:
     f = Poly(coeffs)

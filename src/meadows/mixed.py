@@ -3,18 +3,18 @@
 A mixed fraction is a standardized polynomial (integer numerators over one
 common denominator) plus a simple fraction whose numerator and denominator
 are integer-coefficient polynomials.  Emission rebuilds a term of exactly
-that shape from a normal form:
+that shape from a normal form, the same way in both models:
 
-* collect the exceptional support (points, or irreducible loci) together
-  with the roots of the reduced denominator;
-* build the patch polynomial g matching the term's value on that support:
-  by Lagrange interpolation over the points in the rational model, by
-  combining each locus residue with the inverse of the product of the other
-  loci in the complex model;
-* attach the support-product e so the fraction part vanishes exactly on the
-  support, and scale by the polynomial's common denominator l (and a
-  further integer L when rational coefficients remain) to reach integer
-  coefficients.
+* collect the support: the correction loci together with the loci of the
+  reduced denominator (its linear factors over Q, all irreducible factors
+  over C);
+* build the patch polynomial g with the term's residue on every support
+  locus from one master product E of the support: each locus r with target
+  v contributes h_r * (v * h_r^{-1} mod r) with h_r = E / r.  Over linear
+  loci this is Lagrange interpolation in barycentric form;
+* attach E so the fraction part vanishes exactly on the support, and scale
+  by the polynomial's common denominator l (and a further integer L when
+  rational coefficients remain) to reach integer coefficients.
 
 The integer scalings performed are recorded multiplicatively in
 ``witness_n = l * L``: multiplying numerator and denominator of a fraction
@@ -29,25 +29,16 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .factor import distinct_irreducible_factors, rational_roots_from_factors
+from .factor import _order_key
 from .normalform import (
-    AlgebraicNF,
     Model,
     NF,
-    PointwiseNF,
-    is_polynomial_nf,
+    candidate_loci,
     normalize,
     quotient_inv,
+    root,
 )
-from .poly import (
-    P_ONE,
-    P_ZERO,
-    Poly,
-    StdPoly,
-    lagrange_interpolate,
-    lagrange_weights,
-    standardize,
-)
+from .poly import P_ONE, P_ZERO, Poly, StdPoly, standardize
 from .rationals import Rat
 from .terms import (
     Add,
@@ -159,80 +150,61 @@ def _emit_from_parts(
     return MixedFraction(std, fn.scale(scale), fd.scale(scale), l * scale, targets)
 
 
-def _emit_polynomial(nf: NF) -> MixedFraction:
-    std = standardize(nf.num)
-    return MixedFraction(std, P_ZERO, P_ONE, std.denominator, ())
-
-
-def emit_mixed_q(nf: PointwiseNF, check: bool = False) -> MixedFraction:
-    """Mixed fraction semantically equal to nf on the rational meadow.
-
-    The support is the exception points together with the rational roots of
-    the denominator; targets are the stored exception values and 0 at
-    uncorrected roots.  The patch polynomial interpolates the targets, and
-    the fraction part (num*e*l - den*e*(l*g)) / (den*e*l) restores the
-    reduced base off the support while vanishing on it.
-    """
-    if is_polynomial_nf(nf):
-        return _emit_polynomial(nf)
-    values = dict(nf.exceptions)
-    support = sorted(set(values) | set(rational_roots_from_factors(nf.den)))
-    points = [(a, values.get(a, Fraction(0))) for a in support]
-    weights = lagrange_weights(points)
-    g = lagrange_interpolate(points)
-    e = build_indicator(support).locus
-    targets = tuple(
-        PointTarget(a, v, w) for (a, v), w in zip(points, weights)
-    )
-    mf = _emit_from_parts(nf, g, e, targets)
-    if check and normalize(to_term(mf), Model.RAT) != nf:
-        raise EmissionError("rational-model emission failed round-trip")
-    return mf
-
-
-def emit_mixed_c(nf: AlgebraicNF, check: bool = False) -> MixedFraction:
-    """Mixed fraction semantically equal to nf on the complex meadow.
-
-    The support is the correction loci together with the irreducible
-    factors of the denominator.  For each locus r with target residue v the
-    patch polynomial receives h_r * (v * h_r^{-1} mod r), where h_r is the
-    product of the other loci (invertible modulo r since distinct
-    irreducibles share no roots); the sum then has residue v on every
-    locus.  The fraction part is assembled as in the rational model.
-    """
-    if is_polynomial_nf(nf):
-        return _emit_polynomial(nf)
-    values = dict(nf.corrections)
-    loci = sorted(
-        set(values) | set(distinct_irreducible_factors(nf.den)),
-        key=lambda r: (len(r.coeffs), r.coeffs),
-    )
-    g = P_ZERO
-    targets = []
+def _targets(model: Model, loci, values, coefficients) -> tuple:
+    """Emission diagnostics: one LocusTarget per support locus over C;
+    over Q one PointTarget per point, sorted by point, whose weight is the
+    coefficient of the monic node product prod_{j != i} (x - a_j)."""
+    if model is Model.COMPLEX:
+        return tuple(
+            LocusTarget(r, values.get(r, P_ZERO), c) for r, c in zip(loci, coefficients)
+        )
+    leads = Fraction(1)
     for r in loci:
-        v = values.get(r, P_ZERO)
-        h = P_ONE
-        for other in loci:
-            if other != r:
-                h = h * other
-        if v.is_zero():
-            coeff = P_ZERO
-        else:
-            coeff = (v * quotient_inv(h % r, r)) % r
-        g = g + h * coeff
-        targets.append(LocusTarget(r, v, coeff))
-    e = build_indicator(loci).locus
-    mf = _emit_from_parts(nf, g, e, tuple(targets))
-    if check and normalize(to_term(mf), Model.COMPLEX) != nf:
-        raise EmissionError("complex-model emission failed round-trip")
-    return mf
+        leads *= r.lead
+    return tuple(sorted(
+        (PointTarget(root(r), values.get(r, P_ZERO).coeff(0),
+                     c.coeff(0) * leads / r.lead)
+         for r, c in zip(loci, coefficients)),
+        key=lambda t: t.point,
+    ))
 
 
 def emit(nf: NF, check: bool = False) -> MixedFraction:
-    """Model-dispatching emission."""
-    if isinstance(nf, PointwiseNF):
-        return emit_mixed_q(nf, check=check)
-    return emit_mixed_c(nf, check=check)
+    """Mixed fraction semantically equal to nf on its model's meadow.
+
+    The support is the correction loci together with the candidate loci of
+    the denominator; targets are the stored residues and 0 on uncorrected
+    loci.  With E the product of the support, the patch polynomial receives
+    h_r * (v * h_r^{-1} mod r) for each locus r with target v, where
+    h_r = E / r is invertible modulo r since distinct irreducibles share
+    no roots; the sum then has residue v on every locus.  The fraction part
+    (num*E*l - den*E*(l*g)) / (den*E*l) restores the reduced base off the
+    support while vanishing on it.
+    """
+    if nf.den == P_ONE and not nf.corrections:  # a polynomial
+        std = standardize(nf.num)
+        return MixedFraction(std, P_ZERO, P_ONE, std.denominator, ())
+    values = dict(nf.corrections)
+    loci = sorted(values.keys() | set(candidate_loci(nf.model, nf.den)),
+                  key=_order_key)
+    e = P_ONE
+    for r in loci:
+        e = e * r
+    g = P_ZERO
+    coefficients = []
+    for r in loci:
+        v = values.get(r, P_ZERO)
+        coeff = P_ZERO
+        if not v.is_zero():
+            h = e.exact_div(r)
+            coeff = (v * quotient_inv(h % r, r)) % r
+            g = g + h * coeff
+        coefficients.append(coeff)
+    targets = _targets(nf.model, loci, values, coefficients)
+    mf = _emit_from_parts(nf, g, e, targets)
+    if check and normalize(to_term(mf), nf.model) != nf:
+        raise EmissionError("emission failed round-trip")
+    return mf
 
 
 def emit_with_witness(t: Term) -> tuple[MixedFraction, int]:
@@ -244,7 +216,7 @@ def emit_with_witness(t: Term) -> tuple[MixedFraction, int]:
     while clearing coefficients.  Formal derivability is not re-proved
     here, only the semantic content is produced and checkable.
     """
-    mf = emit_mixed_c(normalize(t, Model.COMPLEX))
+    mf = emit(normalize(t, Model.COMPLEX))
     return mf, mf.witness_n
 
 

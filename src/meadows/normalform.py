@@ -1,21 +1,24 @@
 """Canonical semantic normal forms for univariate meadow terms.
 
 A term denotes a function on the rational or complex meadow (division is
-total with x/0 = 0).  Its normal form is a reduced rational function
-num/den together with finitely many exceptional corrections recording where
-the term's value departs from the reduced fraction:
+total with x/0 = 0).  Its normal form ``NF`` is a reduced rational function
+num/den together with finitely many corrections recording where the term's
+value departs from the reduced fraction.  A correction (r, s) pairs an
+irreducible locus r with a residue s in Q[x]/(r): on every root of r the
+term takes the value of s there.
 
-* ``PointwiseNF`` (rational model) corrects at rational points;
-* ``AlgebraicNF`` (complex model) corrects along irreducible polynomial
-  loci, storing the term's value on all roots of the locus as a residue in
-  the quotient ring.
+The two models differ only in which irreducible factors of a denominator
+become candidate loci: all of them over C, the linear ones over Q.  A
+rational point a is the root of a linear locus, and a residue modulo a
+linear locus is the constant value at that root, so the rational model's
+exceptional points are its linear corrections (the ``exceptions`` view).
 
-Both forms are canonical: the base is reduced with a primitive, positive-
+The form is canonical: the base is reduced with a primitive, positive-
 leading denominator, corrections are minimal (never equal to the value the
-base already gives) and canonically ordered, so structural equality
-coincides with semantic equality.  Normalization is a structural recursion
-through the term's operators using the closure operations nf_add, nf_mul,
-nf_neg and nf_inv.
+base already gives) and ordered by locus degree then coefficients, so
+structural equality coincides with semantic equality.  Normalization is a
+structural recursion through the term's operators using the closure
+operations nf_add, nf_mul, nf_neg and nf_inv.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .factor import distinct_irreducible_factors, rational_roots_from_factors
+from .factor import _order_key, distinct_irreducible_factors
 from .poly import P_ONE, P_X, P_ZERO, Poly, poly_bezout, poly_gcd
-from .rationals import Rat, eval_closed, meadow_div, meadow_inv
+from .rationals import Rat, eval_closed, meadow_div
 from .terms import Add, Div, IntLit, Mul, Neg, One, Pow, Term, Var, Zero
 
 
@@ -64,60 +67,48 @@ def _reduce(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     return num.scale(1 / c), den.scale(1 / c)
 
 
-@dataclass(frozen=True)
-class PointwiseNF:
-    """Reduced rational function plus exceptional point values (Q model).
+def root(locus: Poly) -> Rat:
+    """The rational point at which a linear locus vanishes."""
+    return -locus.coeffs[0] / locus.coeffs[1]
 
-    The value at a rational point a is the stored exception value when a is
-    an exception point, otherwise num(a)/den(a) with the meadow convention
-    that a zero denominator yields 0.  Exceptions are minimal and sorted by
-    point.
-    """
 
-    num: Poly
-    den: Poly
-    exceptions: tuple[tuple[Rat, Rat], ...]
+def candidate_loci(model: Model, den: Poly) -> tuple[Poly, ...]:
+    """Irreducible factors of den that the model tracks as loci, in
+    canonical order: all of them over C, the linear ones over Q."""
+    if den == P_ONE:
+        return ()
+    loci = distinct_irreducible_factors(den)
+    if model is Model.RAT:
+        return tuple(r for r in loci if len(r.coeffs) == 2)
+    return loci
 
-    def generic_at(self, a: Rat) -> Rat:
-        return meadow_div(self.num(a), self.den(a))
 
-    def value_at(self, a: Rat) -> Rat:
-        for pt, v in self.exceptions:
-            if pt == a:
-                return v
-        return self.generic_at(a)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "num": [str(c) for c in self.num.coeffs],
-            "den": [str(c) for c in self.den.coeffs],
-            "exceptions": [
-                {"point": str(pt), "value": str(v)} for pt, v in self.exceptions
-            ],
-        }
+def _generic_mod(num: Poly, den: Poly, r: Poly) -> Poly:
+    d = den % r
+    if d.is_zero():
+        return P_ZERO
+    return _quotient_div(num % r, d, r)
 
 
 @dataclass(frozen=True)
-class AlgebraicNF:
-    """Reduced rational function plus corrections on irreducible loci
-    (complex model).
+class NF:
+    """Reduced rational function plus corrections on irreducible loci.
 
-    Each correction (r, s) states that on every complex root of r the term
-    takes the value s evaluated there, with deg s < deg r; the loci are
-    irreducible over Q, primitive with positive leading coefficient,
-    pairwise distinct, minimal against the base and ordered by degree then
-    coefficients.  Off all loci the value is num/den with zero denominators
-    mapping to 0.
+    Each correction (r, s) states that on every root of r the term takes
+    the value of s there, with deg s < deg r; the loci are irreducible over
+    Q, primitive with positive leading coefficient, pairwise distinct,
+    minimal against the base and ordered by degree then coefficients.  Over
+    Q every locus is linear.  Off all loci the value is num/den with zero
+    denominators mapping to 0.
     """
 
+    model: Model
     num: Poly
     den: Poly
     corrections: tuple[tuple[Poly, Poly], ...]
 
     def generic_mod(self, r: Poly) -> Poly:
-        if (self.den % r).is_zero():
-            return P_ZERO
-        return _quotient_div(self.num % r, self.den % r, r)
+        return _generic_mod(self.num, self.den, r)
 
     def value_mod(self, r: Poly) -> Poly:
         for locus, s in self.corrections:
@@ -126,61 +117,58 @@ class AlgebraicNF:
         return self.generic_mod(r)
 
     def value_at(self, a: Rat) -> Rat:
+        a = Fraction(a)
         for locus, s in self.corrections:
             if locus(a) == 0:
                 return s(a)
         return meadow_div(self.num(a), self.den(a))
 
+    @property
+    def exceptions(self) -> tuple[tuple[Rat, Rat], ...]:
+        """Point view of the corrections on linear loci: (point, value)
+        pairs sorted by point.  Over Q these are all the corrections."""
+        return tuple(sorted(
+            (root(r), s.coeff(0)) for r, s in self.corrections if len(r.coeffs) == 2
+        ))
+
     def to_json_dict(self) -> dict:
-        return {
+        out = {
             "num": [str(c) for c in self.num.coeffs],
             "den": [str(c) for c in self.den.coeffs],
-            "corrections": [
+        }
+        if self.model is Model.RAT:
+            out["exceptions"] = [
+                {"point": str(pt), "value": str(v)} for pt, v in self.exceptions
+            ]
+        else:
+            out["corrections"] = [
                 {
                     "locus": [str(c) for c in locus.coeffs],
                     "value": [str(c) for c in s.coeffs],
                 }
                 for locus, s in self.corrections
-            ],
-        }
+            ]
+        return out
 
 
-NF = PointwiseNF | AlgebraicNF
-
-
-def _locus_key(locus: Poly):
-    return (len(locus.coeffs), locus.coeffs)
-
-
-def _make_pointwise(num: Poly, den: Poly, candidates: dict[Rat, Rat]) -> PointwiseNF:
+def _make(model: Model, num: Poly, den: Poly, candidates: dict[Poly, Poly]) -> NF:
     num, den = _reduce(num, den)
-    kept = []
-    for pt in sorted(candidates):
-        v = candidates[pt]
-        if v != meadow_div(num(pt), den(pt)):
-            kept.append((pt, v))
-    return PointwiseNF(num, den, tuple(kept))
-
-
-def _make_algebraic(num: Poly, den: Poly, candidates: dict[Poly, Poly]) -> AlgebraicNF:
-    num, den = _reduce(num, den)
-    kept = []
-    for locus in sorted(candidates, key=_locus_key):
-        s = candidates[locus]
-        if (den % locus).is_zero():
-            generic = P_ZERO
-        else:
-            generic = _quotient_div(num % locus, den % locus, locus)
-        if s != generic:
-            kept.append((locus, s))
-    return AlgebraicNF(num, den, tuple(kept))
+    kept = tuple(
+        (r, candidates[r])
+        for r in sorted(candidates, key=_order_key)
+        if candidates[r] != _generic_mod(num, den, r)
+    )
+    return NF(model, num, den, kept)
 
 
 def quotient_inv(a: Poly, modulus: Poly) -> Poly:
-    """Meadow inverse in Q[x]/(modulus): 0 maps to 0, anything else to its
-    Bezout inverse.  Detects reducible moduli via a nonunit gcd."""
+    """Meadow inverse in Q[x]/(modulus): 0 maps to 0, a nonzero constant
+    to its rational inverse, anything else to its Bezout inverse.  Detects
+    reducible moduli via a nonunit gcd."""
     if a.is_zero():
         return P_ZERO
+    if a.is_constant():
+        return Poly.constant(1 / a.coeffs[0])
     g, _, vp = poly_bezout(a, modulus)
     if g != P_ONE:
         raise LocusMustSplitError(modulus, g)
@@ -196,59 +184,26 @@ def _quotient_div(a: Poly, b: Poly, modulus: Poly) -> Poly:
 
 
 def nf_neg(a: NF) -> NF:
-    if isinstance(a, PointwiseNF):
-        return PointwiseNF(
-            -a.num, a.den, tuple((pt, -v) for pt, v in a.exceptions)
-        )
-    return AlgebraicNF(
-        -a.num, a.den, tuple((locus, -s) for locus, s in a.corrections)
-    )
+    return NF(a.model, -a.num, a.den, tuple((r, -s) for r, s in a.corrections))
 
 
-def _pointwise_candidates(a: PointwiseNF, b: PointwiseNF) -> set[Rat]:
-    pts = {pt for pt, _ in a.exceptions} | {pt for pt, _ in b.exceptions}
-    if a.den != P_ONE:
-        pts |= rational_roots_from_factors(a.den)
-    if b.den != P_ONE:
-        pts |= rational_roots_from_factors(b.den)
-    return pts
-
-
-def _algebraic_candidates(a: AlgebraicNF, b: AlgebraicNF) -> set[Poly]:
-    loci = {locus for locus, _ in a.corrections} | {locus for locus, _ in b.corrections}
-    if a.den != P_ONE:
-        loci |= set(distinct_irreducible_factors(a.den))
-    if b.den != P_ONE:
-        loci |= set(distinct_irreducible_factors(b.den))
+def _candidates(a: NF, b: NF) -> set[Poly]:
+    if a.model is not b.model:
+        raise TypeError("cannot combine normal forms of different models")
+    loci = {r for r, _ in a.corrections} | {r for r, _ in b.corrections}
+    loci.update(candidate_loci(a.model, a.den))
+    loci.update(candidate_loci(b.model, b.den))
     return loci
 
 
 def nf_add(a: NF, b: NF) -> NF:
-    if type(a) is not type(b):
-        raise TypeError("cannot combine normal forms of different models")
-    if isinstance(a, PointwiseNF):
-        cands = {
-            pt: a.value_at(pt) + b.value_at(pt) for pt in _pointwise_candidates(a, b)
-        }
-        return _make_pointwise(a.num * b.den + b.num * a.den, a.den * b.den, cands)
-    cands = {
-        r: (a.value_mod(r) + b.value_mod(r)) % r for r in _algebraic_candidates(a, b)
-    }
-    return _make_algebraic(a.num * b.den + b.num * a.den, a.den * b.den, cands)
+    cands = {r: (a.value_mod(r) + b.value_mod(r)) % r for r in _candidates(a, b)}
+    return _make(a.model, a.num * b.den + b.num * a.den, a.den * b.den, cands)
 
 
 def nf_mul(a: NF, b: NF) -> NF:
-    if type(a) is not type(b):
-        raise TypeError("cannot combine normal forms of different models")
-    if isinstance(a, PointwiseNF):
-        cands = {
-            pt: a.value_at(pt) * b.value_at(pt) for pt in _pointwise_candidates(a, b)
-        }
-        return _make_pointwise(a.num * b.num, a.den * b.den, cands)
-    cands = {
-        r: (a.value_mod(r) * b.value_mod(r)) % r for r in _algebraic_candidates(a, b)
-    }
-    return _make_algebraic(a.num * b.num, a.den * b.den, cands)
+    cands = {r: (a.value_mod(r) * b.value_mod(r)) % r for r in _candidates(a, b)}
+    return _make(a.model, a.num * b.num, a.den * b.den, cands)
 
 
 def nf_inv(a: NF) -> NF:
@@ -259,24 +214,14 @@ def nf_inv(a: NF) -> NF:
     appear: at an uncorrected root of den both the old value and the new
     generic value are 0, and symmetrically at roots of num.
     """
-    if isinstance(a, PointwiseNF):
-        cands = {pt: meadow_inv(v) for pt, v in a.exceptions}
-        if a.num.is_zero():
-            return _make_pointwise(P_ZERO, P_ONE, cands)
-        return _make_pointwise(a.den, a.num, cands)
-    cands = {locus: quotient_inv(s, locus) for locus, s in a.corrections}
+    cands = {r: quotient_inv(s, r) for r, s in a.corrections}
     if a.num.is_zero():
-        return _make_algebraic(P_ZERO, P_ONE, cands)
-    return _make_algebraic(a.den, a.num, cands)
+        return _make(a.model, P_ZERO, P_ONE, cands)
+    return _make(a.model, a.den, a.num, cands)
 
 
 def nf_div(a: NF, b: NF) -> NF:
     return nf_mul(a, nf_inv(b))
-
-
-def nf_eval(a: NF, pt: Rat) -> Rat:
-    """Value of a normal form at a rational point (both models)."""
-    return a.value_at(Fraction(pt))
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +301,7 @@ def eval_term_mod(t: Term, r: Poly) -> Poly:
 
 
 def _poly_nf(p: Poly, model: Model) -> NF:
-    if model is Model.RAT:
-        return PointwiseNF(p, P_ONE, ())
-    return AlgebraicNF(p, P_ONE, ())
+    return NF(model, p, P_ONE, ())
 
 
 def normalize(t: Term, model: Model) -> NF:
@@ -402,26 +345,15 @@ def normalize(t: Term, model: Model) -> NF:
             raise TypeError(f"not a term: {t!r}")
 
 
-def is_polynomial_nf(nf: NF) -> bool:
-    """True for normal forms that are plain polynomials (no corrections,
-    denominator 1)."""
-    if isinstance(nf, PointwiseNF):
-        return not nf.exceptions and nf.den == P_ONE
-    return not nf.corrections and nf.den == P_ONE
-
-
 __all__ = [
-    "AlgebraicNF",
     "LocusMustSplitError",
     "Model",
     "NF",
-    "PointwiseNF",
     "eval_closed",
     "eval_term",
     "eval_term_mod",
     "nf_add",
     "nf_div",
-    "nf_eval",
     "nf_inv",
     "nf_mul",
     "nf_neg",

@@ -32,16 +32,6 @@ def meadow_div(a: Rat, b: Rat) -> Rat:
     return a * meadow_inv(b)
 
 
-def parse_rat(text: str) -> Rat:
-    """Read a rational from "p/q" or "p" text (arbitrary precision)."""
-    return Fraction(text.strip())
-
-
-def format_rat(a: Rat) -> str:
-    """Render as "p/q", or "p" when the denominator is 1."""
-    return str(a)
-
-
 def eval_closed(t: Term) -> Rat:
     """Value of a variable-free term under total-division semantics.
 

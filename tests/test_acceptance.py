@@ -15,7 +15,7 @@ from meadows.checks import (
 )
 from meadows.decide import decide_eq, finite_support_sum
 from meadows.generate import random_rat, random_term
-from meadows.mixed import emit_mixed_c, emit_mixed_q, emit_with_witness, to_term
+from meadows.mixed import emit, emit_with_witness, to_term
 from meadows.normalform import Model, eval_term, normalize
 from meadows.poly import P_ONE, StdPoly
 from meadows.terms import parse
@@ -39,7 +39,7 @@ def test_criterion_1_example2_golden_q():
     def body():
         start = time.monotonic()
         nf = normalize(parse(EXAMPLE2), Model.RAT)
-        mf = emit_mixed_q(nf)
+        mf = emit(nf)
         elapsed = time.monotonic() - start
         weights = {t.point: t.weight for t in mf.targets}
         assert weights == {
@@ -58,7 +58,7 @@ def test_criterion_2_example3_golden_c():
     def body():
         start = time.monotonic()
         nf = normalize(parse(EXAMPLE3), Model.COMPLEX)
-        mf = emit_mixed_c(nf)
+        mf = emit(nf)
         elapsed = time.monotonic() - start
         coefficients = [t.coefficient for t in mf.targets]
         assert coefficients == [P_ONE, P_ONE]

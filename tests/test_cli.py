@@ -1,6 +1,11 @@
 import json
 
+import pytest
+
+from meadows import cli
 from meadows.cli import main
+from meadows.factor import FactorizationError
+from meadows.mixed import EmissionError
 
 EXAMPLE2 = "1/(x^2+3*x) + (2*x+5)/(x^5+1) + (x^3+2)/(3*x^2-7)"
 
@@ -202,3 +207,26 @@ def test_options_around_expression_starting_with_minus(capsys):
     code, out, _ = run(capsys, "eval", "-x^2", "-3", "--output", "json")
     assert code == 0
     assert json.loads(out) == {"value": "-9"}
+
+
+def test_deep_nesting_exits_3_without_traceback(capsys):
+    deep = "(" * 3000 + "x" + ")" * 3000
+    code, out, err = run(capsys, "eq", deep, "x")
+    assert code == 3
+    assert out == ""
+    assert err == "error: input nested too deeply\n"
+
+
+@pytest.mark.parametrize("command, error", [
+    ("normalize", FactorizationError("invariant failed")),
+    ("emit", EmissionError("round trip failed")),
+])
+def test_internal_error_exits_4(capsys, monkeypatch, command, error):
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, command, broken)
+    code, out, err = run(capsys, "normalize", "1/x")
+    assert code == 4
+    assert out == ""
+    assert err == f"error: internal error: {type(error).__name__}: {error}\n"

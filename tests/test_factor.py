@@ -11,10 +11,10 @@ from meadows.factor import (
     _zz_divmod_monic,
     distinct_irreducible_factors,
     factor_rationals,
-    rational_roots_from_factors,
 )
 from meadows.generate import random_int_poly
 from meadows.ints import divisors
+from meadows.normalform import Model, candidate_loci, root
 from meadows.poly import Poly, lagrange_interpolate
 
 X = Poly((0, 1))
@@ -169,7 +169,9 @@ def test_random_factors_are_irreducible_by_brute_force():
 
 def test_roots_from_factors_matches_linear_factors():
     p = Poly((-5, 7, 6)) * Poly((1, 0, 1))
-    assert rational_roots_from_factors(p) == {Fraction(1, 2), Fraction(-5, 3)}
+    assert candidate_loci(Model.RAT, p) == (Poly((-1, 2)), Poly((5, 3)))
+    assert {root(r) for r in candidate_loci(Model.RAT, p)} == {
+        Fraction(1, 2), Fraction(-5, 3)}
 
 
 def test_distinct_factors_ignore_multiplicity():

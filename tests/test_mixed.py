@@ -14,8 +14,6 @@ from meadows.mixed import (
     MixedFraction,
     build_indicator,
     emit,
-    emit_mixed_c,
-    emit_mixed_q,
     emit_with_witness,
     mixed_to_json_dict,
     to_term,
@@ -58,7 +56,7 @@ def test_indicator_characteristic_property():
 
 
 def test_emit_example2_standard_form():
-    mf = emit_mixed_q(normalize(parse(EXAMPLE2), Model.RAT), check=True)
+    mf = emit(normalize(parse(EXAMPLE2), Model.RAT), check=True)
     assert mf.poly.numerators == (15972, 24404, 5891)
     assert mf.poly.denominator == 3388
     assert mf.witness_n % 3388 == 0
@@ -73,7 +71,7 @@ def test_emit_example2_standard_form():
 
 
 def test_emit_pole_with_nonzero_value():
-    mf = emit_mixed_q(normalize(parse("1/x + 1/1"), Model.RAT), check=True)
+    mf = emit(normalize(parse("1/x + 1/1"), Model.RAT), check=True)
     assert mf.poly == StdPoly((1,), 1)
     assert mf.frac_num == X
     assert mf.frac_den == X * X
@@ -84,7 +82,7 @@ def test_emit_pole_with_nonzero_value():
 
 
 def test_emit_closed_term():
-    mf = emit_mixed_q(normalize(parse("5 - 2/7"), Model.RAT), check=True)
+    mf = emit(normalize(parse("5 - 2/7"), Model.RAT), check=True)
     assert mf.poly == StdPoly((33,), 7)
     assert mf.frac_num == P_ZERO
     assert mf.frac_den == P_ONE
@@ -92,7 +90,7 @@ def test_emit_closed_term():
 
 
 def test_emit_x_over_x():
-    mf = emit_mixed_q(normalize(parse("x/x"), Model.RAT), check=True)
+    mf = emit(normalize(parse("x/x"), Model.RAT), check=True)
     assert mf.poly == StdPoly((), 1)
     # the fraction keeps the support factor: x/x is 0 at 0 and 1 elsewhere
     assert mf.frac_num == X
@@ -105,7 +103,7 @@ def test_emit_x_over_x():
 
 def test_emit_example3_complex():
     nf = normalize(parse(EXAMPLE3), Model.COMPLEX)
-    mf = emit_mixed_c(nf, check=True)
+    mf = emit(nf, check=True)
     assert mf.poly == StdPoly((3, 0, 2), 1)  # 2x^2 + 3
     coeffs = {t.locus: t.coefficient for t in mf.targets}
     assert coeffs == {Poly((1, 0, 1)): P_ONE, Poly((2, 0, 1)): P_ONE}
@@ -118,13 +116,13 @@ def test_emit_example3_complex():
 
 def test_emit_complex_separation_term():
     nf = normalize(parse("1/(x^2-2) + 1/1"), Model.COMPLEX)
-    mf = emit_mixed_c(nf, check=True)
+    mf = emit(nf, check=True)
     assert mf.poly == StdPoly((1,), 1)  # g = 1
     assert eval_term_mod(to_term(mf), Poly((-2, 0, 1))) == P_ONE
 
 
 def test_emit_zero():
-    mf = emit_mixed_c(normalize(parse("0"), Model.COMPLEX))
+    mf = emit(normalize(parse("0"), Model.COMPLEX))
     assert mf.poly == StdPoly((), 1)
     assert mf.frac_num == P_ZERO
     assert mf.frac_den == P_ONE
@@ -203,7 +201,7 @@ def test_mixed_fraction_validation():
 
 
 def test_json_schema():
-    mf = emit_mixed_q(normalize(parse("1/x + 1/1"), Model.RAT))
+    mf = emit(normalize(parse("1/x + 1/1"), Model.RAT))
     payload = mixed_to_json_dict(mf, Model.RAT)
     assert payload == {
         "model": "Q",

@@ -13,13 +13,12 @@ from meadows.checks import (
 )
 from meadows.generate import random_term
 from meadows.normalform import (
+    NF,
     LocusMustSplitError,
     Model,
-    PointwiseNF,
     eval_term,
     eval_term_mod,
     nf_add,
-    nf_eval,
     nf_inv,
     nf_mul,
     nf_neg,
@@ -71,7 +70,7 @@ def test_eval_term_mod_rejects_constant_modulus():
 
 def test_normalize_x_over_x():
     nf = normalize(parse("x/x"), Model.RAT)
-    assert nf == PointwiseNF(P_ONE, P_ONE, ((Fraction(0), Fraction(0)),))
+    assert nf == NF(Model.RAT, P_ONE, P_ONE, ((X, P_ZERO),))
 
 
 def test_normalize_sum_with_pole():
@@ -104,7 +103,7 @@ def test_normalize_example2_exceptions():
 
 def test_normalize_closed_term_is_constant():
     nf = normalize(parse("5 - 2/7"), Model.RAT)
-    assert nf == PointwiseNF(Poly.constant(Fraction(33, 7)), P_ONE, ())
+    assert nf == NF(Model.RAT, Poly.constant(Fraction(33, 7)), P_ONE, ())
 
 
 def test_nf_add_example():
@@ -129,7 +128,7 @@ def test_nf_add_zero_identity():
 def test_nf_mul_x_with_inverse():
     product = nf_mul(normalize(parse("x"), Model.RAT),
                      normalize(parse("1/x"), Model.RAT))
-    assert product == PointwiseNF(P_ONE, P_ONE, ((Fraction(0), Fraction(0)),))
+    assert product == NF(Model.RAT, P_ONE, P_ONE, ((X, P_ZERO),))
 
 
 def test_nf_mul_rejects_model_mismatch():
@@ -150,7 +149,7 @@ def test_nf_neg_involution_and_example():
 
 def test_nf_inv_of_x():
     inv = nf_inv(normalize(parse("x"), Model.RAT))
-    assert inv == PointwiseNF(P_ONE, X, ())
+    assert inv == NF(Model.RAT, P_ONE, X, ())
 
 
 def test_nf_inv_involution_property():
@@ -169,15 +168,15 @@ def test_nf_inv_fixes_x_over_x():
 
 def test_nf_eval_example2():
     nf = normalize(parse(EXAMPLE2), Model.RAT)
-    assert nf_eval(nf, Fraction(0)) == Fraction(33, 7)
+    assert nf.value_at(Fraction(0)) == Fraction(33, 7)
     # generic point
-    assert nf_eval(nf, Fraction(1)) == eval_term(parse(EXAMPLE2), Fraction(1))
+    assert nf.value_at(Fraction(1)) == eval_term(parse(EXAMPLE2), Fraction(1))
 
 
 def test_nf_eval_complex_at_rational_points():
     nf = normalize(parse("x/x"), Model.COMPLEX)
-    assert nf_eval(nf, Fraction(0)) == 0
-    assert nf_eval(nf, Fraction(5)) == 1
+    assert nf.value_at(Fraction(0)) == 0
+    assert nf.value_at(Fraction(5)) == 1
 
 
 def test_den_normalization_invariants():
@@ -277,8 +276,17 @@ def test_division_free_terms_normalize_to_polynomials():
         for model in Model:
             nf = normalize(t, model)
             assert nf.den == P_ONE
-            corrections = (nf.exceptions if model is Model.RAT
-                           else nf.corrections)
-            assert corrections == ()
+            assert nf.corrections == ()
             for a in points:
                 assert nf.num(a) == eval_term(t, a)
+
+
+def test_rational_nf_is_complex_nf_on_linear_loci():
+    # A rational point is a linear locus: the Q normal form is the C normal
+    # form with the corrections on higher-degree loci dropped.
+    rng = random.Random(7)
+    for _ in range(600):
+        t = random_term(rng, depth=5)
+        nf_c = normalize(t, Model.COMPLEX)
+        linear = tuple((r, s) for r, s in nf_c.corrections if r.degree == 1)
+        assert normalize(t, Model.RAT) == NF(Model.RAT, nf_c.num, nf_c.den, linear)

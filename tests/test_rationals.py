@@ -5,7 +5,7 @@ import pytest
 
 from meadows.checks import AXIOMS, check_axioms, check_meadow_inv_involution
 from meadows.generate import random_closed_fraction_term
-from meadows.rationals import eval_closed, format_rat, meadow_div, meadow_inv, parse_rat
+from meadows.rationals import eval_closed, meadow_div, meadow_inv
 from meadows.terms import parse
 
 
@@ -81,10 +81,3 @@ def test_conditional_cancellation():
     for _ in range(100):
         value = Fraction(rng.randint(1, 50), rng.randint(1, 50))
         assert value * meadow_inv(value) == 1
-
-
-def test_rat_text_forms():
-    assert parse_rat("-3/6") == Fraction(-1, 2)
-    assert parse_rat("7") == 7
-    assert format_rat(Fraction(-1, 2)) == "-1/2"
-    assert format_rat(Fraction(7)) == "7"

@@ -38,7 +38,6 @@ from .normalform import (
     eval_term,
     eval_term_mod,
     nf_add,
-    nf_div,
     nf_inv,
     nf_mul,
     nf_neg,

@@ -6,7 +6,7 @@ codes:
 * 0 when the command (or decided property) holds;
 * 1 when a decision comes out negative or a check fails;
 * 2 on malformed input;
-* 3 when the input is nested too deeply for the recursive evaluator;
+* 3 when the input is nested too deeply for the recursive-descent parser;
 * 4 on an internal error (a defect, reported on one ``error:`` line).
 
 Expressions are taken as one argument, or from a file with @path;
@@ -21,13 +21,7 @@ import sys
 from fractions import Fraction
 
 from . import checks
-from .decide import (
-    decide_eq,
-    distinguishing_witness,
-    finite_support_sum,
-    simple_expressible,
-    sum_star_equals,
-)
+from .decide import distinguishing_witness, finite_support_sum, simple_expressible
 from .mixed import (
     PointTarget,
     emit,
@@ -130,8 +124,8 @@ def cmd_eq(args) -> int:
     left = parse(_read_expr(args.expr))
     right = parse(_read_expr(args.expr2))
     model = _model(args.model)
-    equal = decide_eq(left, right, model)
-    witness = None if equal else distinguishing_witness(left, right, model)
+    witness = distinguishing_witness(left, right, model)
+    equal = witness is None
     if args.output == "json":
         payload: dict = {"result": equal}
         if witness is not None:
@@ -169,7 +163,7 @@ def cmd_sumstar(args) -> int:
     model = _model(args.model)
     expected = eval_closed(closed)  # raises ValueError if not closed
     result = finite_support_sum(term, model)
-    holds = sum_star_equals(term, closed, model)
+    holds = result.value == expected
     if args.output == "json":
         _emit_json({"result": holds, "expected": str(expected),
                     "sum": result.to_json_dict()})

@@ -16,21 +16,24 @@ exceptional points are its linear corrections (the ``exceptions`` view).
 The form is canonical: the base is reduced with a primitive, positive-
 leading denominator, corrections are minimal (never equal to the value the
 base already gives) and ordered by locus degree then coefficients, so
-structural equality coincides with semantic equality.  Normalization is a
-structural recursion through the term's operators using the closure
-operations nf_add, nf_mul, nf_neg and nf_inv.
+structural equality coincides with semantic equality.  Normalization
+interprets the term in the algebra of normal forms (``terms.interpret``):
+a whole sum or product chain is one nf_add or nf_mul, and no step
+recurses, so terms of any depth normalize.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .factor import _order_key, distinct_irreducible_factors
 from .poly import P_ONE, P_X, P_ZERO, Poly, poly_bezout, poly_gcd
-from .rationals import Rat, eval_closed, meadow_div
-from .terms import Add, Div, IntLit, Mul, Neg, One, Pow, Term, Var, Zero
+from .rationals import Rat, eval_closed, eval_term, meadow_div
+from .terms import Term, interpret
 
 
 class Model(enum.Enum):
@@ -83,13 +86,6 @@ def candidate_loci(model: Model, den: Poly) -> tuple[Poly, ...]:
     return loci
 
 
-def _generic_mod(num: Poly, den: Poly, r: Poly) -> Poly:
-    d = den % r
-    if d.is_zero():
-        return P_ZERO
-    return _quotient_div(num % r, d, r)
-
-
 @dataclass(frozen=True)
 class NF:
     """Reduced rational function plus corrections on irreducible loci.
@@ -108,7 +104,11 @@ class NF:
     corrections: tuple[tuple[Poly, Poly], ...]
 
     def generic_mod(self, r: Poly) -> Poly:
-        return _generic_mod(self.num, self.den, r)
+        """Residue modulo r of the base alone (0 where r divides den)."""
+        d = self.den % r
+        if d.is_zero():
+            return P_ZERO
+        return (self.num % r * quotient_inv(d, r)) % r
 
     def value_mod(self, r: Poly) -> Poly:
         for locus, s in self.corrections:
@@ -152,13 +152,13 @@ class NF:
 
 
 def _make(model: Model, num: Poly, den: Poly, candidates: dict[Poly, Poly]) -> NF:
-    num, den = _reduce(num, den)
+    base = NF(model, *_reduce(num, den), ())
     kept = tuple(
         (r, candidates[r])
         for r in sorted(candidates, key=_order_key)
-        if candidates[r] != _generic_mod(num, den, r)
+        if candidates[r] != base.generic_mod(r)
     )
-    return NF(model, num, den, kept)
+    return NF(model, base.num, base.den, kept)
 
 
 def quotient_inv(a: Poly, modulus: Poly) -> Poly:
@@ -175,10 +175,6 @@ def quotient_inv(a: Poly, modulus: Poly) -> Poly:
     return vp % modulus
 
 
-def _quotient_div(a: Poly, b: Poly, modulus: Poly) -> Poly:
-    return (a * quotient_inv(b, modulus)) % modulus
-
-
 # ---------------------------------------------------------------------------
 # Closure operations
 
@@ -187,23 +183,53 @@ def nf_neg(a: NF) -> NF:
     return NF(a.model, -a.num, a.den, tuple((r, -s) for r, s in a.corrections))
 
 
-def _candidates(a: NF, b: NF) -> set[Poly]:
-    if a.model is not b.model:
+def _combine(nfs: tuple[NF, ...], op, unit: Poly, base) -> NF:
+    """Sum or product (op, with neutral element unit) of normal forms.  The
+    polynomial operands (den 1, no corrections) merge into one first;
+    ``base`` gives the unreduced num/den of the others, reduced once.
+    Every root of the reduced denominator is a root of some operand
+    denominator, so the operands' loci are the only candidates."""
+    model = nfs[0].model
+    if any(nf.model is not model for nf in nfs):
         raise TypeError("cannot combine normal forms of different models")
-    loci = {r for r, _ in a.corrections} | {r for r, _ in b.corrections}
-    loci.update(candidate_loci(a.model, a.den))
-    loci.update(candidate_loci(b.model, b.den))
-    return loci
+    p = reduce(op, (nf.num for nf in nfs if nf.den == P_ONE and not nf.corrections),
+               unit)
+    rest = [nf for nf in nfs if nf.den != P_ONE or nf.corrections]
+    if p != unit or not rest:
+        rest.append(NF(model, p, P_ONE, ()))
+    if len(rest) == 1:
+        return rest[0]
+    loci: set[Poly] = set()
+    for nf in rest:
+        loci.update(r for r, _ in nf.corrections)
+        loci.update(candidate_loci(model, nf.den))
+    cands = {r: reduce(lambda s, nf: op(s, nf.value_mod(r)) % r, rest, unit)
+             for r in loci}
+    return _make(model, *base(rest), cands)
 
 
-def nf_add(a: NF, b: NF) -> NF:
-    cands = {r: (a.value_mod(r) + b.value_mod(r)) % r for r in _candidates(a, b)}
-    return _make(a.model, a.num * b.den + b.num * a.den, a.den * b.den, cands)
+def _sum_base(nfs: list[NF]) -> tuple[Poly, Poly]:
+    num, den = nfs[0].num, nfs[0].den
+    for nf in nfs[1:]:
+        g = poly_gcd(den, nf.den)
+        a, b = nf.den.exact_div(g), den.exact_div(g)
+        num, den = num * a + nf.num * b, den * a
+    return num, den
 
 
-def nf_mul(a: NF, b: NF) -> NF:
-    cands = {r: (a.value_mod(r) * b.value_mod(r)) % r for r in _candidates(a, b)}
-    return _make(a.model, a.num * b.num, a.den * b.den, cands)
+def _product_base(nfs: list[NF]) -> tuple[Poly, Poly]:
+    return (reduce(operator.mul, (nf.num for nf in nfs)),
+            reduce(operator.mul, (nf.den for nf in nfs)))
+
+
+def nf_add(*nfs: NF) -> NF:
+    """Sum of normal forms, over the lcm of their denominators."""
+    return _combine(nfs, operator.add, P_ZERO, _sum_base)
+
+
+def nf_mul(*nfs: NF) -> NF:
+    """Product of normal forms."""
+    return _combine(nfs, operator.mul, P_ONE, _product_base)
 
 
 def nf_inv(a: NF) -> NF:
@@ -220,42 +246,8 @@ def nf_inv(a: NF) -> NF:
     return _make(a.model, a.den, a.num, cands)
 
 
-def nf_div(a: NF, b: NF) -> NF:
-    return nf_mul(a, nf_inv(b))
-
-
 # ---------------------------------------------------------------------------
-# Term evaluation and normalization
-
-
-def eval_term(t: Term, a: Rat) -> Rat:
-    """Structural meadow evaluation of a term at a rational point."""
-    a = Fraction(a)
-
-    def go(t: Term) -> Rat:
-        match t:
-            case Zero():
-                return Fraction(0)
-            case One():
-                return Fraction(1)
-            case IntLit(n):
-                return Fraction(n)
-            case Var():
-                return a
-            case Neg(u):
-                return -go(u)
-            case Add(u, v):
-                return go(u) + go(v)
-            case Mul(u, v):
-                return go(u) * go(v)
-            case Div(u, v):
-                return meadow_div(go(u), go(v))
-            case Pow(u, n):
-                return go(u) ** n
-            case _:
-                raise TypeError(f"not a term: {t!r}")
-
-    return go(t)
+# Term evaluation in quotient rings and normalization
 
 
 def eval_term_mod(t: Term, r: Poly) -> Poly:
@@ -264,85 +256,26 @@ def eval_term_mod(t: Term, r: Poly) -> Poly:
     value there.  Division inside the term inverts through the Bezout
     identity, with the zero residue inverting to zero.  Raises
     LocusMustSplitError when a zero divisor reveals r to be reducible."""
-
-    def go(t: Term) -> Poly:
-        match t:
-            case Zero():
-                return P_ZERO
-            case One():
-                return P_ONE % r
-            case IntLit(n):
-                return Poly.constant(n) % r
-            case Var():
-                return P_X % r
-            case Neg(u):
-                return -go(u)
-            case Add(u, v):
-                return (go(u) + go(v)) % r
-            case Mul(u, v):
-                return (go(u) * go(v)) % r
-            case Div(u, v):
-                return (go(u) * quotient_inv(go(v), r)) % r
-            case Pow(u, n):
-                base = go(u)
-                out = P_ONE % r
-                while n:
-                    if n & 1:
-                        out = (out * base) % r
-                    base = (base * base) % r
-                    n >>= 1
-                return out
-            case _:
-                raise TypeError(f"not a term: {t!r}")
-
     if r.is_constant():
         raise ValueError("modulus must be nonconstant")
-    return go(t)
-
-
-def _poly_nf(p: Poly, model: Model) -> NF:
-    return NF(model, p, P_ONE, ())
+    return interpret(t, lambda n: Poly.constant(n) % r, lambda: P_X % r,
+                     operator.neg, lambda *v: sum(v, P_ZERO) % r,
+                     lambda *v: reduce(lambda a, b: (a * b) % r, v),
+                     lambda a: quotient_inv(a, r))
 
 
 def normalize(t: Term, model: Model) -> NF:
     """Normal form of a term in the given model.
 
-    Structural recursion over the term: constants embed with denominator 1
-    and no corrections, the variable and its powers embed as x^n/1, and
-    each operator maps to the corresponding closure operation (division via
-    inverse).  The result evaluates exactly like the term everywhere on the
-    model's carrier.
+    The term is interpreted in the algebra of normal forms: constants and
+    the variable embed as polynomials over 1 with no corrections, a sum or
+    product chain maps to one nf_add or nf_mul, and division to
+    multiplication by nf_inv.  The result evaluates exactly like the term
+    everywhere on the model's carrier.
     """
-    match t:
-        case Zero():
-            return _poly_nf(P_ZERO, model)
-        case One():
-            return _poly_nf(P_ONE, model)
-        case IntLit(n):
-            return _poly_nf(Poly.constant(n), model)
-        case Var():
-            return _poly_nf(P_X, model)
-        case Neg(u):
-            return nf_neg(normalize(u, model))
-        case Add(u, v):
-            return nf_add(normalize(u, model), normalize(v, model))
-        case Mul(u, v):
-            return nf_mul(normalize(u, model), normalize(v, model))
-        case Div(u, v):
-            return nf_div(normalize(u, model), normalize(v, model))
-        case Pow(Var(), n):
-            return _poly_nf(Poly.x(n), model)
-        case Pow(u, n):
-            base = normalize(u, model)
-            out = _poly_nf(P_ONE, model)
-            while n:
-                if n & 1:
-                    out = nf_mul(out, base)
-                base = nf_mul(base, base)
-                n >>= 1
-            return out
-        case _:
-            raise TypeError(f"not a term: {t!r}")
+    x = NF(model, P_X, P_ONE, ())
+    return interpret(t, lambda n: NF(model, Poly.constant(n), P_ONE, ()),
+                     lambda: x, nf_neg, nf_add, nf_mul, nf_inv)
 
 
 __all__ = [
@@ -353,7 +286,6 @@ __all__ = [
     "eval_term",
     "eval_term_mod",
     "nf_add",
-    "nf_div",
     "nf_inv",
     "nf_mul",
     "nf_neg",

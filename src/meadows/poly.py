@@ -109,10 +109,10 @@ class Poly:
             return self.scale(Fraction(other))
         if not self.coeffs or not other.coeffs:
             return Poly()
-        if len(other.coeffs) == 1:
-            return self.scale(other.coeffs[0])
-        if len(self.coeffs) == 1:
-            return other.scale(self.coeffs[0])
+        if not any(other.coeffs[:-1]):  # a monomial c*x^k: scale and shift
+            return Poly(other.coeffs[:-1] + self.scale(other.lead).coeffs)
+        if not any(self.coeffs[:-1]):
+            return Poly(self.coeffs[:-1] + other.scale(self.lead).coeffs)
         # Convolve integer numerators over the two common denominators.
         a, da = _integer_form(self.coeffs)
         b, db = _integer_form(other.coeffs)
@@ -301,6 +301,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return b.monic()
     if b.is_zero():
         return a.monic()
+    if a.is_constant() or b.is_constant():
+        return P_ONE
     u = list(a.primitive().int_coeffs())
     v = list(b.primitive().int_coeffs())
     if len(u) < len(v):

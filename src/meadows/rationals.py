@@ -6,13 +6,19 @@ equality.  The one operation the stdlib does not provide is the total
 inverse of meadows, ``meadow_inv``, which maps 0 to 0; division built on it
 (``meadow_div``) therefore satisfies x/0 = 0.  No floating point is used
 anywhere.
+
+Terms evaluate at a rational point through one algebra over the term fold
+(``terms.interpret``): the variable takes the point, or raises for a term
+that must be closed, and each operator maps to its meadow operation.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from functools import reduce
 
-from .terms import Add, Div, IntLit, Mul, Neg, One, Pow, Term, Var, Zero
+from .terms import Term, interpret
 
 Rat = Fraction
 
@@ -32,29 +38,24 @@ def meadow_div(a: Rat, b: Rat) -> Rat:
     return a * meadow_inv(b)
 
 
+def eval_term(t: Term, a: Rat) -> Rat:
+    """Meadow value of a term at a rational point."""
+    a = Fraction(a)
+    return _eval(t, lambda: a)
+
+
 def eval_closed(t: Term) -> Rat:
     """Value of a variable-free term under total-division semantics.
 
     Raises ValueError if the term contains the variable.
     """
-    match t:
-        case Zero():
-            return RAT_ZERO
-        case One():
-            return RAT_ONE
-        case IntLit(n):
-            return Fraction(n)
-        case Var():
-            raise ValueError("term is not closed: variable occurs")
-        case Neg(a):
-            return -eval_closed(a)
-        case Add(a, b):
-            return eval_closed(a) + eval_closed(b)
-        case Mul(a, b):
-            return eval_closed(a) * eval_closed(b)
-        case Div(a, b):
-            return meadow_div(eval_closed(a), eval_closed(b))
-        case Pow(a, n):
-            return eval_closed(a) ** n
-        case _:
-            raise TypeError(f"not a term: {t!r}")
+    return _eval(t, _not_closed)
+
+
+def _not_closed() -> Rat:
+    raise ValueError("term is not closed: variable occurs")
+
+
+def _eval(t: Term, var) -> Rat:
+    return interpret(t, Fraction, var, operator.neg, lambda *v: sum(v, RAT_ZERO),
+                     lambda *v: reduce(operator.mul, v), meadow_inv)

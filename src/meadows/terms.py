@@ -6,12 +6,17 @@ parser accepts any identifier but canonicalizes it to that node.  Integer
 literals and natural-number powers are definable sugar: ``IntLit(n)`` stands
 for the n-fold sum of 1 (negated for n < 0), ``Pow(t, n)`` for the n-fold
 product.  ``desugar`` removes both without changing the denoted function.
+
+Every traversal but printing is one post-order ``fold`` over an explicit
+stack; ``interpret`` specializes it to a term's value in a meadow.  Only
+the recursive-descent parser recurses.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import reduce
 
 
 class Term:
@@ -108,31 +113,111 @@ class TermSyntaxError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# The term fold
+
+
+_LEAVES = frozenset((Zero, One, IntLit, Var))
+
+
+def fold(t: Term, leaf, node):
+    """Post-order fold of t over an explicit stack, so term depth is bounded
+    by memory, not by the recursion limit.
+
+    ``leaf(u)`` gives the value of a Zero, One, IntLit or Var node and
+    ``node(u, values)`` that of any other node u from its operands' values:
+    one for Neg and Pow, two for Div, and for an Add (or Mul) every term of
+    the chain along its left spine, so Add(Add(a, b), c) hands over three
+    values and a Neg summand is one operand.  Rebuilding the values
+    left-associatively gives back u.
+    """
+    values: list = []
+    todo: list = [t]
+    while todo:
+        u = todo.pop()
+        kind = type(u)
+        if kind is tuple:
+            u, n = u
+            values[-n:] = [node(u, values[-n:])]
+        elif kind in _LEAVES:
+            values.append(leaf(u))
+        elif kind is Add or kind is Mul:
+            chain, v = [], u
+            while type(v) is kind:
+                chain.append(v.right)
+                v = v.left
+            todo += [(u, len(chain) + 1), *chain, v]
+        elif kind is Div:
+            todo += [(u, 2), u.den, u.num]
+        elif kind is Neg:
+            todo += [(u, 1), u.arg]
+        elif kind is Pow:
+            todo += [(u, 1), u.base]
+        else:
+            raise TypeError(f"not a term: {u!r}")
+    return values[0]
+
+
+def interpret(t: Term, const, var, neg, add, mul, inv):
+    """Value of t in a meadow given by its operations, through ``fold``:
+    ``const(n)`` embeds the integer n, ``var()`` gives the variable's value,
+    ``add`` and ``mul`` take the values of a whole chain as arguments, a/b
+    is mul(a, inv(b)) and a^n is repeated squaring."""
+
+    def leaf(u: Term):
+        match u:
+            case Zero():
+                return const(0)
+            case One():
+                return const(1)
+            case IntLit(n):
+                return const(n)
+        return var()
+
+    def node(u: Term, values: list):
+        kind = type(u)
+        if kind is Add:
+            return add(*values)
+        if kind is Mul:
+            return mul(*values)
+        if kind is Div:
+            return mul(values[0], inv(values[1]))
+        if kind is Neg:
+            return neg(values[0])
+        if u.exponent == 0:
+            return const(1)
+        out = base = values[0]
+        for bit in bin(u.exponent)[3:]:
+            out = mul(out, out)
+            if bit == "1":
+                out = mul(out, base)
+        return out
+
+    return fold(t, leaf, node)
+
+
+# ---------------------------------------------------------------------------
 # Structural utilities
 
 
+def _shape(t: Term) -> tuple[bool, bool, bool]:
+    """(contains_var, contains_div, is_polynomial) of t in one fold."""
+
+    def node(u: Term, values: list) -> tuple[bool, bool, bool]:
+        var = any(v[0] for v in values)
+        div = any(v[1] for v in values)
+        if isinstance(u, Div):
+            return var, True, not (var or div)
+        return var, div, all(v[2] for v in values)
+
+    return fold(t, lambda u: (isinstance(u, Var), False, True), node)
+
+
 def contains_var(t: Term) -> bool:
-    match t:
-        case Var():
-            return True
-        case Neg(a) | Pow(a, _):
-            return contains_var(a)
-        case Add(a, b) | Mul(a, b) | Div(a, b):
-            return contains_var(a) or contains_var(b)
-        case _:
-            return False
+    return _shape(t)[0]
 
 
 def contains_div(t: Term) -> bool:
-    match t:
-        case Div():
-            return True
-        case Neg(a) | Pow(a, _):
-            return contains_div(a)
-        case Add(a, b) | Mul(a, b):
-            return contains_div(a) or contains_div(b)
-        case _:
-            return False
+    return _shape(t)[1]
 
 
 def is_simple_fraction(t: Term) -> bool:
@@ -141,17 +226,7 @@ def is_simple_fraction(t: Term) -> bool:
 
 def is_polynomial(t: Term) -> bool:
     """True when every division in t is a closed simple fraction."""
-    match t:
-        case Div(a, b):
-            return not (
-                contains_div(a) or contains_div(b) or contains_var(a) or contains_var(b)
-            )
-        case Neg(a) | Pow(a, _):
-            return is_polynomial(a)
-        case Add(a, b) | Mul(a, b):
-            return is_polynomial(a) and is_polynomial(b)
-        case _:
-            return True
+    return _shape(t)[2]
 
 
 def classify(t: Term) -> TermClass:
@@ -175,35 +250,28 @@ def classify(t: Term) -> TermClass:
     return TermClass.OTHER
 
 
+def _desugar_leaf(t: Term) -> Term:
+    if isinstance(t, IntLit):
+        if t.value == 0:
+            return ZERO
+        ones = reduce(Add, [ONE] * abs(t.value))
+        return Neg(ones) if t.value < 0 else ones
+    return t
+
+
+def _desugar_node(t: Term, values: list) -> Term:
+    match t:
+        case Add() | Mul():
+            return reduce(type(t), values)
+        case Pow(_, n):
+            return reduce(Mul, values * n) if n else ONE
+        case _:
+            return type(t)(*values)
+
+
 def desugar(t: Term) -> Term:
     """Expand IntLit into repeated sums of 1 and Pow into repeated products."""
-    match t:
-        case IntLit(n):
-            if n == 0:
-                return ZERO
-            unit = ONE
-            acc: Term = unit
-            for _ in range(abs(n) - 1):
-                acc = Add(acc, unit)
-            return Neg(acc) if n < 0 else acc
-        case Pow(base, n):
-            if n == 0:
-                return ONE
-            b = desugar(base)
-            acc = b
-            for _ in range(n - 1):
-                acc = Mul(acc, b)
-            return acc
-        case Neg(a):
-            return Neg(desugar(a))
-        case Add(a, b):
-            return Add(desugar(a), desugar(b))
-        case Mul(a, b):
-            return Mul(desugar(a), desugar(b))
-        case Div(a, b):
-            return Div(desugar(a), desugar(b))
-        case _:
-            return t
+    return fold(t, _desugar_leaf, _desugar_node)
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +302,6 @@ class _Parser:
     def peek(self) -> str:
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self) -> str:
-        c = self.peek()
-        self.pos += 1
-        return c
 
     def parse(self) -> Term:
         t = self.sum()
@@ -342,7 +405,8 @@ def parse(text: str) -> Term:
 # ---------------------------------------------------------------------------
 # Printing.  Precedence mirrors the grammar so parse(format_term(t))
 # reconstructs t; parentheses are inserted only where re-parsing would
-# otherwise change the tree.
+# otherwise change the tree.  Pending pieces wait on an explicit stack, so
+# printing takes time linear in the output at any depth.
 
 _PREC_SUM = 1
 _PREC_PROD = 2
@@ -350,41 +414,43 @@ _PREC_UNARY = 3
 _PREC_ATOM = 4
 
 
-def _fmt(t: Term, prec: int) -> str:
+_LEAF_TEXT = {Zero: "0", One: "1", Var: "x"}
+_INFIX = {Add: (" + ", _PREC_SUM), Mul: ("*", _PREC_PROD), Div: ("/", _PREC_PROD)}
+
+
+def _pieces(t: Term) -> tuple[list, int]:
+    """Text pieces of t, with each operand as an (operand, precedence)
+    pair, and the precedence of t itself."""
     match t:
-        case Zero():
-            return "0"
-        case One():
-            return "1"
-        case Var():
-            return "x"
+        case Zero() | One() | Var():
+            return [_LEAF_TEXT[type(t)]], _PREC_ATOM
         case IntLit(n):
-            return str(n) if n >= 0 else _wrap(f"-{-n}", _PREC_UNARY, prec)
+            return ([str(n)], _PREC_ATOM) if n >= 0 else ([f"-{-n}"], _PREC_UNARY)
         case Neg(a):
-            return _wrap("-" + _fmt(a, _PREC_UNARY), _PREC_UNARY, prec)
-        case Add(a, Neg(b)):
-            s = f"{_fmt(a, _PREC_SUM)} - {_fmt(b, _PREC_SUM + 1)}"
-            return _wrap(s, _PREC_SUM, prec)
-        case Add(a, b):
-            s = f"{_fmt(a, _PREC_SUM)} + {_fmt(b, _PREC_SUM + 1)}"
-            return _wrap(s, _PREC_SUM, prec)
-        case Mul(a, b):
-            s = f"{_fmt(a, _PREC_PROD)}*{_fmt(b, _PREC_PROD + 1)}"
-            return _wrap(s, _PREC_PROD, prec)
-        case Div(a, b):
-            s = f"{_fmt(a, _PREC_PROD)}/{_fmt(b, _PREC_PROD + 1)}"
-            return _wrap(s, _PREC_PROD, prec)
+            return ["-", (a, _PREC_UNARY)], _PREC_UNARY
         case Pow(a, n):
-            return _wrap(f"{_fmt(a, _PREC_ATOM)}^{n}", _PREC_UNARY, prec)
+            return [(a, _PREC_ATOM), f"^{n}"], _PREC_UNARY
+        case Add(a, Neg(b)):
+            return [(a, _PREC_SUM), " - ", (b, _PREC_SUM + 1)], _PREC_SUM
+        case Add(a, b) | Mul(a, b) | Div(a, b):
+            op, prec = _INFIX[type(t)]
+            return [(a, prec), op, (b, prec + 1)], prec
         case _:
             raise TypeError(f"not a term: {t!r}")
-
-
-def _wrap(s: str, inner: int, outer: int) -> str:
-    return f"({s})" if inner < outer else s
 
 
 def format_term(t: Term) -> str:
     """Canonical text for a term; inverse of parse up to sugar for 0/1
     naturals and negative literals (which re-parse as Neg of a positive)."""
-    return _fmt(t, _PREC_SUM)
+    out: list[str] = []
+    todo: list = [(t, _PREC_SUM)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        pieces, inner = _pieces(item[0])
+        if inner < item[1]:
+            pieces = ["(", *pieces, ")"]
+        todo.extend(reversed(pieces))
+    return "".join(out)

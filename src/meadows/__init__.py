@@ -17,6 +17,7 @@ from .decide import (
     distinguishing_witness,
     finite_support_sum,
     simple_expressible,
+    simple_fraction,
     sum_star_equals,
 )
 from .factor import Factorization, distinct_irreducible_factors, factor_rationals

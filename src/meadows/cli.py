@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from . import checks
-from .decide import distinguishing_witness, finite_support_sum, simple_expressible
+from .decide import distinguishing_witness, finite_support_sum, simple_fraction
 from .mixed import (
     PointTarget,
     emit,
@@ -139,15 +139,14 @@ def cmd_eq(args) -> int:
 
 
 def cmd_simple(args) -> int:
-    term = parse(_read_expr(args.expr))
-    fraction = simple_expressible(term)
+    nf = normalize(parse(_read_expr(args.expr)), Model.RAT)
+    fraction = simple_fraction(nf)
     if fraction is not None:
         if args.output == "json":
             _emit_json({"result": True, "fraction": format_term(fraction)})
         else:
             print(format_term(fraction))
         return 0
-    nf = normalize(term, Model.RAT)
     point, value = next((pt, v) for pt, v in nf.exceptions if v != 0)
     reason = f"nonzero value {value} at discontinuity {point}"
     if args.output == "json":

@@ -15,7 +15,6 @@ one procedure; a rational-model witness is reported at a point.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -106,28 +105,24 @@ def _base_witness(nf1: NF, nf2: NF) -> PointWitness:
 
 
 def simple_expressible(t: Term) -> Term | None:
-    """A simple fraction equal to t on the rational meadow, or None.
+    """A simple fraction equal to t on the rational meadow, or None."""
+    return simple_fraction(normalize(t, Model.RAT))
 
-    t equals a simple fraction iff every exceptional value of its normal
-    form is 0: a simple fraction is discontinuous only at zeros of its
-    denominator, where its value is 0.  When the criterion holds, the base
-    multiplied through by the support product (x - a) over the zero-valued
-    exception points realizes the fraction.
-    """
-    nf = normalize(t, Model.RAT)
+
+def simple_fraction(nf: NF) -> Term | None:
+    """A simple fraction equal to the rational-model normal form nf, or
+    None.  It exists iff every exceptional value of nf is 0, since a simple
+    fraction is discontinuous only at zeros of its denominator, where it is
+    0; then the base times the support product of the exception points
+    realizes it."""
     if any(not s.is_zero() for _, s in nf.corrections):
         return None
     w = build_indicator(r for r, _ in nf.corrections).locus
     num = nf.num * w
     den = nf.den * w
-    scale = 1
-    for c in num.coeffs:
-        scale = scale * c.denominator // math.gcd(scale, c.denominator)
-    num = num.scale(scale)
-    den = den.scale(scale)
-    return Div(
-        _coeff_poly_term(num.int_coeffs(), 1), _coeff_poly_term(den.int_coeffs(), 1)
-    )
+    scale = num.content.denominator  # the lcm of num's coefficient denominators
+    return Div(_coeff_poly_term(num.scale(scale).int_coeffs(), 1),
+               _coeff_poly_term(den.scale(scale).int_coeffs(), 1))
 
 
 @dataclass(frozen=True)

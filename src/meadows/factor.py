@@ -6,8 +6,11 @@ modulo a small prime (distinct-degree plus equal-degree splitting), Hensel
 lift to a modulus beyond the Landau-Mignotte coefficient bound, and
 recombine modular factors by trial division.  Every returned factor is
 irreducible over Q, primitive with integer coefficients and positive
-leading coefficient.  Results are cached on the coefficient tuple since the
-normal-form layer factors the same denominators repeatedly.
+leading coefficient.  The modular and integer steps run on the integer
+kernel of ``meadows.poly`` (coefficient lists over Z or Z/m), the same
+one the polynomial arithmetic uses.  Results are cached on the primitive
+polynomial, in caches of CACHE_SIZE entries each, since the normal-form
+layer factors the same denominators repeatedly.
 """
 
 from __future__ import annotations
@@ -16,12 +19,25 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .ints import odd_primes_from
-from .poly import P_ONE, Poly, squarefree_part
+from .poly import (
+    P_ONE,
+    P_X,
+    Poly,
+    squarefree_part,
+    zx_add,
+    zx_divmod,
+    zx_mul,
+    zx_primitive,
+    zx_sub,
+    zx_trim,
+)
 from .rationals import Rat
+
+# Entries kept by each of the three factorization caches.
+CACHE_SIZE = 512
 
 
 class FactorizationError(RuntimeError):
@@ -54,219 +70,113 @@ class Factorization:
 
 
 def _order_key(p: Poly):
-    return (len(p.coeffs), p.coeffs)
+    """Degree, then integer coefficients: on primitive polynomials (all
+    factors and loci) the order of the coefficient tuples."""
+    return (len(p.ints), p.ints)
 
 
 def factor_rationals(p: Poly) -> Factorization:
     """Factor a nonzero polynomial into irreducibles over Q."""
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    unit = p.content()
-    prim = p.scale(1 / unit)
+    prim = p.primitive()
     if prim.is_constant():
-        return Factorization(unit, ())
-    irreducibles = distinct_irreducible_factors(prim)
+        return Factorization(p.content, ())
     factors = []
     rest = prim
-    for q in sorted(irreducibles, key=_order_key):
+    for q in distinct_irreducible_factors(prim):
         mult = 0
-        while True:
+        quo, rem = divmod(rest, q)
+        while rem.is_zero():
+            rest, mult = quo, mult + 1
             quo, rem = divmod(rest, q)
-            if rem.is_zero():
-                rest = quo
-                mult += 1
-            else:
-                break
         factors.append((q, mult))
     _require(rest == P_ONE, "factor reconstruction left a non-unit remainder")
-    return Factorization(unit, tuple(factors))
+    return Factorization(p.content, tuple(factors))
 
 
 def distinct_irreducible_factors(p: Poly) -> tuple[Poly, ...]:
     """Irreducible factors of p without multiplicity, canonically ordered."""
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    prim = p.primitive()
-    if prim.is_constant():
+    if p.is_constant():
         return ()
-    return _distinct_factors_of_primitive(prim.int_coeffs())
+    return _distinct_factors_of_primitive(p.primitive())
 
 
-@lru_cache(maxsize=None)
-def _distinct_factors_of_primitive(coeffs: tuple[int, ...]) -> tuple[Poly, ...]:
-    sf = squarefree_part(Poly(coeffs))
+@lru_cache(maxsize=CACHE_SIZE)
+def _distinct_factors_of_primitive(prim: Poly) -> tuple[Poly, ...]:
+    sf = squarefree_part(prim)
     if sf.is_constant():
         return ()
-    return _squarefree_factors_cached(sf.int_coeffs())
+    return _squarefree_factors_cached(sf)
 
 
-@lru_cache(maxsize=None)
-def _squarefree_factors_cached(coeffs: tuple[int, ...]) -> tuple[Poly, ...]:
-    f = Poly(coeffs)
-    factors: list[Poly] = []
-    if f.coeffs[0] == 0:
-        factors.append(Poly((0, 1)))
-        low = 0
-        while f.coeffs[low] == 0:
-            low += 1
-        f = Poly(f.coeffs[low:])
-    if f.degree >= 1:
-        factors.extend(_factor_squarefree_primitive(f))
+@lru_cache(maxsize=CACHE_SIZE)
+def _squarefree_factors_cached(f: Poly) -> tuple[Poly, ...]:
+    low = 1 if f.ints[0] == 0 else 0  # f is squarefree: x divides it at most once
+    factors = [P_X] if low else []
+    if len(f.ints) - low >= 2:
+        factors.extend(_factor_squarefree_primitive(f.ints[low:]))
     return tuple(sorted(factors, key=_order_key))
 
 
-def _factor_squarefree_primitive(f: Poly) -> list[Poly]:
+def _factor_squarefree_primitive(f: tuple[int, ...]) -> list[Poly]:
     """Factor a squarefree primitive integer polynomial with nonzero
-    constant term; returns primitive positive-leading irreducibles."""
-    n = len(f.coeffs) - 1
+    constant term and positive lead; returns primitive positive-leading
+    irreducibles."""
+    n = len(f) - 1
     if n == 1:
-        return [f]
-    a = f.lead.numerator
+        return [Poly.from_ints(f)]
+    a = f[-1]
     # Monic transform: a^(n-1) * f(x/a) is monic with integer coefficients
     # and the same factor structure up to the substitution x -> a*x.
-    monic = tuple(
-        f.coeffs[i].numerator * a ** (n - 1 - i) for i in range(n)
-    ) + (1,)
-    parts = _zassenhaus_monic(monic)
-    result = []
-    for g in parts:
-        back = Poly(tuple(Fraction(c) * a**i for i, c in enumerate(g)))
-        result.append(back.primitive())
-    check = Poly.constant(1)
-    for g in result:
-        check = check * g
-    _require(check == f,
+    monic = tuple(f[i] * a ** (n - 1 - i) for i in range(n)) + (1,)
+    result = [Poly.from_ints([c * a**i for i, c in enumerate(g)]).primitive()
+              for g in _zassenhaus_monic(monic)]
+    _require(tuple(reduce(zx_mul, (g.ints for g in result))) == f,
              "monic back-substitution failed to reproduce the input")
     return result
 
 
-# ---------------------------------------------------------------------------
-# Arithmetic on integer coefficient lists (index i = coefficient of x^i)
-
-
-def _zz_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _zz_mul(a: list[int], b: list[int], m: int | None = None) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    if m is not None:
-        out = [c % m for c in out]
-    return _zz_trim(out)
-
-
-def _zz_add(a: list[int], b: list[int], m: int | None = None) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    if m is not None:
-        out = [c % m for c in out]
-    return _zz_trim(out)
-
-
-def _zz_sub(a: list[int], b: list[int], m: int | None = None) -> list[int]:
-    return _zz_add(a, [-c for c in b], m)
-
-
-def _zz_divmod_monic(a: list[int], b: list[int], m: int | None = None):
-    """Quotient and remainder by a monic divisor (valid over Z and Z/m)."""
+def _monic_divmod(a: list[int], b: list[int], m: int | None = None):
+    """Quotient and remainder by a monic divisor (over Z and Z/m)."""
     _require(b and b[-1] == 1, "divisor is not monic")
-    rem = list(a)
-    db = len(b) - 1
-    if len(a) - 1 < db:
-        return [], _zz_trim(rem)
-    quo = [0] * (len(a) - db)
-    for i in range(len(a) - db - 1, -1, -1):
-        c = rem[i + db]
-        if m is not None:
-            c %= m
-        if c:
-            quo[i] = c
-            for j, bc in enumerate(b):
-                rem[i + j] -= c * bc
-            if m is not None:
-                for j in range(len(b)):
-                    rem[i + j] %= m
-    if m is not None:
-        rem = [c % m for c in rem]
-    return _zz_trim(quo), _zz_trim(rem[:db])
+    return zx_divmod(a, b, m)[:2]
 
 
 # ---------------------------------------------------------------------------
 # Arithmetic modulo a prime p
 
 
-def _pz_monic(a: list[int], p: int) -> list[int]:
-    if not a:
-        return a
-    inv = pow(a[-1], -1, p)
-    return _zz_trim([c * inv % p for c in a])
-
-
-def _pz_divmod(a: list[int], b: list[int], p: int):
-    inv = pow(b[-1], -1, p)
-    rem = [c % p for c in a]
-    db = len(b) - 1
-    if len(a) - 1 < db:
-        return [], _zz_trim(rem)
-    quo = [0] * (len(a) - db)
-    for i in range(len(a) - db - 1, -1, -1):
-        c = rem[i + db] * inv % p
-        if c:
-            quo[i] = c
-            for j, bc in enumerate(b):
-                rem[i + j] = (rem[i + j] - c * bc) % p
-    return _zz_trim(quo), _zz_trim(rem[:db])
-
-
 def _pz_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a = [c % p for c in a]
-    b = [c % p for c in b]
-    _zz_trim(a)
-    _zz_trim(b)
+    a, b = zx_trim([c % p for c in a]), zx_trim([c % p for c in b])
     while b:
-        _, r = _pz_divmod(a, b, p)
-        a, b = b, r
-    return _pz_monic(a, p)
+        a, b = b, zx_divmod(a, b, p)[1]
+    return zx_primitive(a, p)
 
 
 def _pz_xgcd(a: list[int], b: list[int], p: int):
     """(g, s, t) with s*a + t*b = g (monic) over GF(p)."""
-    r0, r1 = [c % p for c in a], [c % p for c in b]
-    _zz_trim(r0)
-    _zz_trim(r1)
+    r0, r1 = zx_trim([c % p for c in a]), zx_trim([c % p for c in b])
     s0, s1 = [1], []
     t0, t1 = [], [1]
     while r1:
-        q, r = _pz_divmod(r0, r1, p)
+        q, r, _ = zx_divmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, _zz_sub(s0, _zz_mul(q, s1, p), p)
-        t0, t1 = t1, _zz_sub(t0, _zz_mul(q, t1, p), p)
+        s0, s1 = s1, zx_sub(s0, zx_mul(q, s1, p), p)
+        t0, t1 = t1, zx_sub(t0, zx_mul(q, t1, p), p)
     inv = pow(r0[-1], -1, p)
-
-    def norm(c):
-        return _zz_trim([x * inv % p for x in c])
-
-    return norm(r0), norm(s0), norm(t0)
+    return tuple(zx_trim([x * inv % p for x in c]) for c in (r0, s0, t0))
 
 
 def _pz_powmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
     result = [1]
-    base = _pz_divmod(base, mod, p)[1]
+    base = zx_divmod(base, mod, p)[1]
     while e:
         if e & 1:
-            result = _pz_divmod(_zz_mul(result, base, p), mod, p)[1]
-        base = _pz_divmod(_zz_mul(base, base, p), mod, p)[1]
+            result = zx_divmod(zx_mul(result, base, p), mod, p)[1]
+        base = zx_divmod(zx_mul(base, base, p), mod, p)[1]
         e >>= 1
     return result
 
@@ -285,11 +195,11 @@ def _modp_factor(f: list[int], p: int) -> list[list[int]]:
     while len(v) - 1 >= 2 * (d + 1):
         d += 1
         h = _pz_powmod(h, p, v, p)
-        g = _pz_gcd(_zz_sub(h, x, p), v, p)
+        g = _pz_gcd(zx_sub(h, x, p), v, p)
         if len(g) - 1 > 0:
             factors.extend(_equal_degree_split(g, d, p))
-            v = _pz_divmod(v, g, p)[0]
-            h = _pz_divmod(h, v, p)[1]
+            v = zx_divmod(v, g, p)[0]
+            h = zx_divmod(h, v, p)[1]
     if len(v) - 1 > 0:
         factors.append(v)
     return factors
@@ -306,18 +216,18 @@ def _equal_degree_split(g: list[int], d: int, p: int) -> list[list[int]]:
         cur = stack.pop()
         deg = len(cur) - 1
         if deg == d:
-            out.append(_pz_monic(cur, p))
+            out.append(zx_primitive(cur, p))
             continue
         while True:
-            w = _zz_trim([rng.randrange(p) for _ in range(deg)])
+            w = zx_trim([rng.randrange(p) for _ in range(deg)])
             if len(w) < 2:
                 continue
             u = _pz_powmod(w, e, cur, p)
-            u = _zz_sub(u, [1], p)
+            u = zx_sub(u, [1], p)
             split = _pz_gcd(u, cur, p)
             if 0 < len(split) - 1 < deg:
                 stack.append(split)
-                stack.append(_pz_divmod(cur, split, p)[0])
+                stack.append(zx_divmod(cur, split, p)[0])
                 break
     return out
 
@@ -330,14 +240,14 @@ def _hensel_step(f, g, h, s, t, m):
     """One quadratic lift: from f = g*h, s*g + t*h = 1 (mod m) to the same
     congruences mod m*m, with h (and here also g) monic."""
     m2 = m * m
-    e = _zz_sub(f, _zz_mul(g, h), m2)
-    q, r = _zz_divmod_monic(_zz_mul(s, e, m2), h, m2)
-    g1 = _zz_add(g, _zz_add(_zz_mul(t, e, m2), _zz_mul(q, g, m2), m2), m2)
-    h1 = _zz_add(h, r, m2)
-    b = _zz_sub(_zz_add(_zz_mul(s, g1, m2), _zz_mul(t, h1, m2), m2), [1], m2)
-    c, d = _zz_divmod_monic(_zz_mul(s, b, m2), h1, m2)
-    s1 = _zz_sub(s, d, m2)
-    t1 = _zz_sub(t, _zz_add(_zz_mul(t, b, m2), _zz_mul(c, g1, m2), m2), m2)
+    e = zx_sub(f, zx_mul(g, h), m2)
+    q, r = _monic_divmod(zx_mul(s, e, m2), h, m2)
+    g1 = zx_add(g, zx_add(zx_mul(t, e, m2), zx_mul(q, g, m2), m2), m2)
+    h1 = zx_add(h, r, m2)
+    b = zx_sub(zx_add(zx_mul(s, g1, m2), zx_mul(t, h1, m2), m2), [1], m2)
+    c, d = _monic_divmod(zx_mul(s, b, m2), h1, m2)
+    s1 = zx_sub(s, d, m2)
+    t1 = zx_sub(t, zx_add(zx_mul(t, b, m2), zx_mul(c, g1, m2), m2), m2)
     return g1, h1, s1, t1, m2
 
 
@@ -347,12 +257,8 @@ def _hensel_lift_tree(f: list[int], mods: list[list[int]], p: int, modulus: int)
     if len(mods) == 1:
         return [[c % modulus for c in f]]
     mid = len(mods) // 2
-    g = [1]
-    for part in mods[:mid]:
-        g = _zz_mul(g, part, p)
-    h = [1]
-    for part in mods[mid:]:
-        h = _zz_mul(h, part, p)
+    g, h = (reduce(lambda u, v: zx_mul(u, v, p), part)
+            for part in (mods[:mid], mods[mid:]))
     one, s, t = _pz_xgcd(g, h, p)
     _require(one == [1], "modular factors are not coprime")
     m = p
@@ -371,10 +277,10 @@ def _hensel_lift_tree(f: list[int], mods: list[list[int]], p: int, modulus: int)
 
 
 def _symmetric(a: list[int], m: int) -> list[int]:
-    return _zz_trim([c - m if c > m // 2 else c for c in (x % m for x in a)])
+    return zx_trim([c - m if c > m // 2 else c for c in (x % m for x in a)])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _zassenhaus_monic(coeffs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Irreducible monic integer factors of a squarefree monic polynomial."""
     f = list(coeffs)
@@ -388,7 +294,7 @@ def _zassenhaus_monic(coeffs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     seen = 0
     for p in odd_primes_from(3):
         fp = [c % p for c in f]
-        deriv = _zz_trim([i * c % p for i, c in enumerate(fp) if i])
+        deriv = zx_trim([i * c % p for i, c in enumerate(fp) if i])
         if not deriv or len(_pz_gcd(fp, deriv, p)) - 1 != 0:
             continue
         mods = _modp_factor(fp, p)
@@ -420,11 +326,9 @@ def _zassenhaus_monic(coeffs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         while found:
             found = False
             for combo in itertools.combinations(idxs, size):
-                prod = [1]
-                for i in combo:
-                    prod = _zz_mul(prod, lifted[i], modulus)
-                cand = _symmetric(prod, modulus)
-                quo, rem = _zz_divmod_monic(remaining, cand)
+                cand = _symmetric(reduce(lambda u, v: zx_mul(u, v, modulus),
+                                         (lifted[i] for i in combo)), modulus)
+                quo, rem = _monic_divmod(remaining, cand)
                 if not rem:
                     result.append(tuple(cand))
                     remaining = quo

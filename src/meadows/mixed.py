@@ -25,7 +25,6 @@ n is cancellable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -141,12 +140,10 @@ def _emit_from_parts(
 ) -> MixedFraction:
     std = standardize(g)
     l = std.denominator
-    g_int = Poly(std.numerators)  # l * g, integer coefficients
+    g_int = g.scale(l)  # integer coefficients
     fn = nf.num * support_locus.scale(l) - nf.den * (support_locus * g_int)
     fd = (nf.den * support_locus).scale(l)
-    scale = 1
-    for c in fn.coeffs:
-        scale = scale * c.denominator // math.gcd(scale, c.denominator)
+    scale = fn.content.denominator  # the lcm of fn's coefficient denominators
     return MixedFraction(std, fn.scale(scale), fd.scale(scale), l * scale, targets)
 
 

@@ -66,13 +66,12 @@ def _reduce(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     if g != P_ONE:
         num = num.exact_div(g)
         den = den.exact_div(g)
-    c = den.content()
-    return num.scale(1 / c), den.scale(1 / c)
+    return num.scale(1 / den.content), den.primitive()
 
 
 def root(locus: Poly) -> Rat:
     """The rational point at which a linear locus vanishes."""
-    return -locus.coeffs[0] / locus.coeffs[1]
+    return Fraction(-locus.ints[0], locus.ints[1])
 
 
 def candidate_loci(model: Model, den: Poly) -> tuple[Poly, ...]:
@@ -82,7 +81,7 @@ def candidate_loci(model: Model, den: Poly) -> tuple[Poly, ...]:
         return ()
     loci = distinct_irreducible_factors(den)
     if model is Model.RAT:
-        return tuple(r for r in loci if len(r.coeffs) == 2)
+        return tuple(r for r in loci if r.degree == 1)
     return loci
 
 
@@ -128,7 +127,7 @@ class NF:
         """Point view of the corrections on linear loci: (point, value)
         pairs sorted by point.  Over Q these are all the corrections."""
         return tuple(sorted(
-            (root(r), s.coeff(0)) for r, s in self.corrections if len(r.coeffs) == 2
+            (root(r), s.coeff(0)) for r, s in self.corrections if r.degree == 1
         ))
 
     def to_json_dict(self) -> dict:
@@ -168,7 +167,7 @@ def quotient_inv(a: Poly, modulus: Poly) -> Poly:
     if a.is_zero():
         return P_ZERO
     if a.is_constant():
-        return Poly.constant(1 / a.coeffs[0])
+        return Poly.constant(1 / a.content)
     g, _, vp = poly_bezout(a, modulus)
     if g != P_ONE:
         raise LocusMustSplitError(modulus, g)
@@ -192,9 +191,13 @@ def _combine(nfs: tuple[NF, ...], op, unit: Poly, base) -> NF:
     model = nfs[0].model
     if any(nf.model is not model for nf in nfs):
         raise TypeError("cannot combine normal forms of different models")
-    p = reduce(op, (nf.num for nf in nfs if nf.den == P_ONE and not nf.corrections),
-               unit)
-    rest = [nf for nf in nfs if nf.den != P_ONE or nf.corrections]
+    polys, rest = [], []
+    for nf in nfs:
+        if nf.corrections or nf.den != P_ONE:
+            rest.append(nf)
+        else:
+            polys.append(nf.num)
+    p = reduce(op, polys, unit)
     if p != unit or not rest:
         rest.append(NF(model, p, P_ONE, ()))
     if len(rest) == 1:

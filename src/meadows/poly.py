@@ -1,17 +1,23 @@
 """Univariate polynomial algebra over exact rationals.
 
-A polynomial is a dense tuple of Fraction coefficients, index i holding the
-coefficient of x^i, with a nonzero last entry; the empty tuple is the zero
-polynomial, whose degree is reported as minus infinity.  Values are
-immutable and hashable.
+A polynomial is a rational content times a primitive integer polynomial:
+``ints`` holds integers with gcd 1 and a positive last entry, index i the
+coefficient of x^i, and the Fraction ``content`` carries the sign.  Zero
+is content 0 with no coefficients; its degree is minus infinity.  Values
+are immutable and hashable; the Fraction coefficients ``coeffs`` are
+derived on first read.
 
-Besides ring arithmetic this module provides the pieces the normal-form and
-emission layers are built on: monic gcd and the extended Euclidean identity,
-rational roots by the rational-root theorem, squarefree parts, exact
-Lagrange interpolation in weighted-product form, standardized
-integer-over-common-denominator coefficients, a combinatorial oracle for
-that standard form, and exact sums of a polynomial over all complex roots of
-another via Newton's identities.
+All arithmetic runs on one integer kernel on coefficient lists, over Z or
+modulo m (``zx_*``), shared with factorization: by Gauss's lemma a product
+is one integer convolution times one rational product, a sum one
+rescaling to a common denominator and one gcd, a division one
+pseudo-division over Z.
+
+On top of it: monic gcd and the extended Euclidean identity, rational
+roots, squarefree parts, Lagrange interpolation in weighted-product form,
+standardized integer-over-common-denominator coefficients with a
+combinatorial oracle for them, and exact sums of a polynomial over all
+complex roots of another via Newton's identities.
 """
 
 from __future__ import annotations
@@ -27,16 +33,107 @@ from .rationals import Rat
 NEG_INFINITY = float("-inf")
 
 
+# ---------------------------------------------------------------------------
+# The integer kernel: coefficient lists (index i = coefficient of x^i) over
+# Z, or over Z/m when a modulus m is given.  Inputs are trimmed (no zero
+# last entry), and reduced mod m where m is given.
+
+
+def zx_trim(a: list[int]) -> list[int]:
+    """Drop zero leading coefficients in place."""
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def zx_add(a, b, m: int | None = None) -> list[int]:
+    out = [x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)]
+    return zx_trim(out if m is None else [c % m for c in out])
+
+
+def zx_sub(a, b, m: int | None = None) -> list[int]:
+    return zx_add(a, [-c for c in b], m)
+
+
+def zx_mul(a, b, m: int | None = None) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return zx_trim(out if m is None else [c % m for c in out])
+
+
+def zx_divmod(a, b, m: int | None = None) -> tuple[list[int], list[int], int]:
+    """(q, r, s) with s*a = q*b + r and deg r < deg b.
+
+    Modulo m the lead of b must be invertible and s = 1.  Over Z this is
+    pseudo-division: whenever the lead of b does not divide the current
+    leading coefficient, the remainder and the quotient so far are scaled
+    by the smallest integer that makes it divide, so s = 1 for a divisor
+    with lead 1 and s divides lead(b)^(deg a - deg b + 1) otherwise.
+    Raises ZeroDivisionError on the zero divisor.
+    """
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    db, lb = len(b) - 1, b[-1]
+    rem = list(a) if m is None else [c % m for c in a]
+    if len(a) - 1 < db:
+        return [], zx_trim(rem), 1
+    inv = None if m is None else pow(lb, -1, m)
+    quo = [0] * (len(a) - db)
+    s = 1
+    for i in range(len(a) - db - 1, -1, -1):
+        c = rem[i + db]
+        if not c:
+            continue
+        if m is not None:
+            c = c * inv % m
+        elif c % lb:
+            g = math.gcd(c, lb)
+            f = abs(lb) // g
+            rem = [x * f for x in rem]
+            quo = [x * f for x in quo]
+            s *= f
+            c = c * f // lb
+        else:
+            c //= lb
+        quo[i] = c
+        for j, bj in enumerate(b):
+            rem[i + j] -= c * bj
+        if m is not None:
+            for j in range(i, i + db + 1):
+                rem[j] %= m
+    return zx_trim(quo), zx_trim(rem[:db]), s
+
+
+def zx_primitive(a: list[int], m: int | None = None) -> list[int]:
+    """a divided by its content: over Z by the gcd of its entries, signed
+    so the lead is positive; modulo m by its lead, so it is monic."""
+    if not a:
+        return a
+    if m is not None:
+        inv = pow(a[-1], -1, m)
+        return zx_trim([c * inv % m for c in a])
+    g = math.gcd(*a) if a[-1] > 0 else -math.gcd(*a)
+    return a if g == 1 else [c // g for c in a]
+
+
+# ---------------------------------------------------------------------------
+# Polynomials over Q: rational content times a primitive integer tuple
+
+
 class Poly:
-    """Dense univariate polynomial over Fraction."""
+    """Univariate polynomial over Q: ``content * ints``."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("content", "ints", "_coeffs")
 
-    def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    def __new__(cls, coeffs=()):
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        den = math.lcm(*[c.denominator for c in cs])
+        return _scaled([c.numerator * (den // c.denominator) for c in cs], 1, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -45,44 +142,66 @@ class Poly:
 
     @staticmethod
     def constant(c) -> "Poly":
-        return Poly((Fraction(c),))
+        c = Fraction(c)
+        return _poly(c, (1,)) if c else P_ZERO
 
     @staticmethod
     def x(power: int = 1) -> "Poly":
-        return Poly((0,) * power + (1,))
+        return _poly(Fraction(1), (0,) * power + (1,))
+
+    @staticmethod
+    def from_ints(nums, den: int = 1) -> "Poly":
+        """The polynomial sum_i nums[i]/den * x^i from integers."""
+        return _scaled(list(nums), 1, den)
 
     # -- basic queries
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Fraction coefficients, index i holding that of x^i, with a
+        nonzero last entry; built on first read."""
+        try:
+            return self._coeffs
+        except AttributeError:
+            n, d = self.content.numerator, self.content.denominator
+            cs = tuple(Fraction(n * c, d) for c in self.ints)
+            _set_coeffs(self, cs)
+            return cs
+
+    @property
     def degree(self):
         """Degree, or minus infinity for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INFINITY
+        return len(self.ints) - 1 if self.ints else NEG_INFINITY
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.ints) <= 1
 
     @property
     def lead(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
+        return self.content * self.ints[-1] if self.ints else self.content
 
     def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        if 0 <= i < len(self.ints):
+            return self.content * self.ints[i]
+        return Fraction(0)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.ints)
 
+    # Contents compare and hash by numerator and denominator: Fraction's own
+    # equality and hash are several times slower on these hot paths.
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            c, d = self.content, other.content
+            return (self.ints == other.ints and c.numerator == d.numerator
+                    and c.denominator == d.denominator)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.ints, self.content.numerator, self.content.denominator))
 
     def __repr__(self) -> str:
         return f"Poly({list(self.coeffs)!r})"
@@ -90,53 +209,58 @@ class Poly:
     # -- arithmetic
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
+        if not other.ints:
+            return self
+        if not self.ints:
+            return other
+        ca, cb = self.content, other.content
+        da, db = ca.denominator, cb.denominator
+        den = da * db // math.gcd(da, db)
+        fa, fb = ca.numerator * (den // da), cb.numerator * (den // db)
+        g = math.gcd(fa, fb)
+        fa, fb = fa // g, fb // g
+        a, b = self.ints, other.ints
         if len(a) < len(b):
-            a, b = b, a
-        cs = list(a)
+            a, b, fa, fb = b, a, fb, fa
+        out = [fa * c for c in a]
         for i, c in enumerate(b):
-            cs[i] += c
-        return Poly(cs)
+            out[i] += fb * c
+        return _scaled(out, g, den)
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return _poly(-self.content, self.ints) if self.ints else self
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            return self.scale(Fraction(other))
-        if not self.coeffs or not other.coeffs:
-            return Poly()
-        if not any(other.coeffs[:-1]):  # a monomial c*x^k: scale and shift
-            return Poly(other.coeffs[:-1] + self.scale(other.lead).coeffs)
-        if not any(self.coeffs[:-1]):
-            return Poly(self.coeffs[:-1] + other.scale(self.lead).coeffs)
-        # Convolve integer numerators over the two common denominators.
-        a, da = _integer_form(self.coeffs)
-        b, db = _integer_form(other.coeffs)
-        cs = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    cs[i + j] += ai * bj
-        d = da * db
-        return Poly([Fraction(c, d) for c in cs])
+            return self.scale(other)
+        a, b = self.ints, other.ints
+        if not a or not b:
+            return P_ZERO
+        content = self.content * other.content
+        # A monomial c*x^k (constants included) is a scale and a shift.
+        if not any(b[:-1]):
+            return _poly(content, b[:-1] + a)
+        if not any(a[:-1]):
+            return _poly(content, a[:-1] + b)
+        # Gauss's lemma: the product of primitive polynomials is primitive.
+        return _poly(content, tuple(zx_mul(a, b)))
 
     __rmul__ = __mul__
 
-    def scale(self, c: Fraction) -> "Poly":
+    def scale(self, c) -> "Poly":
         if c == 1:
             return self
-        if c == 0:
-            return Poly()
-        return Poly(tuple(x * c for x in self.coeffs))
+        if c == 0 or not self.ints:
+            return P_ZERO
+        return _poly(self.content * c, self.ints)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power")
-        result = Poly.constant(1)
+        result = P_ONE
         base = self
         while n:
             if n & 1:
@@ -148,20 +272,15 @@ class Poly:
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(self.coeffs) - len(other.coeffs)
-        if dq < 0:
-            return Poly(), self
-        quo = [Fraction(0)] * (dq + 1)
-        dcs = other.coeffs
-        inv_lead = 1 / dcs[-1]
-        for i in range(dq, -1, -1):
-            c = rem[i + len(dcs) - 1] * inv_lead
-            if c:
-                quo[i] = c
-                for j, d in enumerate(dcs):
-                    rem[i + j] -= c * d
-        return Poly(quo), Poly(rem)
+        if len(self.ints) < len(other.ints):
+            return P_ZERO, self
+        # s*A = Q*B + R for the integer parts, so with self = ca*A and
+        # other = cb*B: self = (ca/(s*cb))*Q * other + (ca/s)*R.
+        q, r, s = zx_divmod(self.ints, other.ints)
+        ca, cb = self.content, other.content
+        return (_scaled(q, ca.numerator * cb.denominator,
+                        ca.denominator * cb.numerator * s),
+                _scaled(r, ca.numerator, ca.denominator * s))
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -176,48 +295,40 @@ class Poly:
         return q
 
     def __call__(self, a) -> Fraction:
-        """Evaluate by Horner's rule."""
+        """Evaluate by Horner's rule on the integer part: with a = n/d,
+        d^deg * A(a) is an integer."""
         a = Fraction(a)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * a + c
-        return acc
+        n, d = a.numerator, a.denominator
+        acc, dpow = 0, 1
+        for c in reversed(self.ints):
+            acc = acc * n + c * dpow
+            dpow *= d
+        return self.content * Fraction(acc, dpow // d) if self.ints else self.content
 
     def derivative(self) -> "Poly":
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
+        c = self.content
+        return _scaled([i * x for i, x in enumerate(self.ints) if i],
+                       c.numerator, c.denominator)
 
     # -- normalization
 
     def monic(self) -> "Poly":
-        if self.is_zero():
+        if not self.ints:
             return self
-        return self.scale(1 / self.lead)
-
-    def content(self) -> Fraction:
-        """Positive rational c with self = c * primitive integer polynomial
-        (sign carried so the primitive part has positive leading
-        coefficient); 0 for the zero polynomial."""
-        if self.is_zero():
-            return Fraction(0)
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.coeffs:
-            num_gcd = math.gcd(num_gcd, c.numerator)
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        c = Fraction(num_gcd, den_lcm)
-        return c if self.lead > 0 else -c
+        return _poly(Fraction(1, self.ints[-1]), self.ints)
 
     def primitive(self) -> "Poly":
         """Integer-coefficient part with content 1 and positive leading
         coefficient (zero stays zero)."""
-        if self.is_zero():
+        if not self.ints or self.content == 1:
             return self
-        return self.scale(1 / self.content())
+        return _poly(Fraction(1), self.ints)
 
     def int_coeffs(self) -> tuple[int, ...]:
-        if any(c.denominator != 1 for c in self.coeffs):
+        c = self.content
+        if c.denominator != 1:
             raise ValueError("polynomial has non-integer coefficients")
-        return tuple(c.numerator for c in self.coeffs)
+        return self.ints if c == 1 else tuple(c.numerator * x for x in self.ints)
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -242,16 +353,30 @@ class Poly:
         return out
 
 
-def _integer_form(coeffs) -> tuple[list[int], int]:
-    """Integer numerators over the least common denominator l of the given
-    Fraction coefficients: coeffs[i] = nums[i] / l."""
-    l = 1
-    for c in coeffs:
-        l = l * c.denominator // math.gcd(l, c.denominator)
-    return [c.numerator * (l // c.denominator) for c in coeffs], l
+_set_content = Poly.content.__set__
+_set_ints = Poly.ints.__set__
+_set_coeffs = Poly._coeffs.__set__
 
 
-P_ZERO = Poly()
+def _poly(content: Fraction, ints: tuple[int, ...]) -> Poly:
+    """The polynomial content * ints, for primitive ints with positive lead."""
+    p = object.__new__(Poly)
+    _set_content(p, content)
+    _set_ints(p, ints)
+    return p
+
+
+def _scaled(nums: list[int], num: int, den: int) -> Poly:
+    """The polynomial (num/den) * nums: one gcd pass over the integer list,
+    one Fraction for the content."""
+    zx_trim(nums)
+    if not nums or not num:
+        return P_ZERO
+    prim = zx_primitive(nums)
+    return _poly(Fraction(num * (nums[-1] // prim[-1]), den), tuple(prim))
+
+
+P_ZERO = _poly(Fraction(0), ())
 P_ONE = Poly.constant(1)
 P_X = Poly.x()
 
@@ -260,42 +385,11 @@ P_X = Poly.x()
 # GCD and the extended Euclidean identity
 
 
-def _int_prem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of integer coefficient lists (lc(b)^k * a mod b)."""
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < db:
-            break
-        la = a[-1]
-        shift = len(a) - 1 - db
-        a = [c * lb for c in a]
-        for j, bc in enumerate(b):
-            a[shift + j] -= la * bc
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _int_primitive(a: list[int]) -> list[int]:
-    g = 0
-    for c in a:
-        g = math.gcd(g, c)
-    if g == 0:
-        return []
-    if a[-1] < 0:
-        g = -g
-    return [c // g for c in a]
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor; gcd(0, 0) = 0.
 
-    Runs the primitive-remainder Euclidean algorithm on integer
-    coefficients to keep intermediate growth in check.
+    Runs the primitive-remainder Euclidean algorithm on the integer parts
+    to keep intermediate growth in check.
     """
     if a.is_zero():
         return b.monic()
@@ -303,13 +397,12 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return a.monic()
     if a.is_constant() or b.is_constant():
         return P_ONE
-    u = list(a.primitive().int_coeffs())
-    v = list(b.primitive().int_coeffs())
+    u, v = a.ints, b.ints
     if len(u) < len(v):
         u, v = v, u
     while v:
-        u, v = v, _int_primitive(_int_prem(u, v))
-    return Poly(u).monic()
+        u, v = v, zx_primitive(zx_divmod(u, v)[1])
+    return _poly(Fraction(1, u[-1]), tuple(u))
 
 
 def poly_bezout(r: Poly, v: Poly) -> tuple[Poly, Poly, Poly]:
@@ -330,9 +423,8 @@ def poly_bezout(r: Poly, v: Poly) -> tuple[Poly, Poly, Poly]:
         r0, r1 = r1, rem
         s0, s1 = s1, s0 - q * s1
         t0, t1 = t1, t0 - q * t1
-    lead = r0.lead
-    g = r0.scale(1 / lead)
-    return g, t0.scale(1 / lead), s0.scale(1 / lead)
+    inv_lead = 1 / r0.lead
+    return r0.monic(), t0.scale(inv_lead), s0.scale(inv_lead)
 
 
 # ---------------------------------------------------------------------------
@@ -342,38 +434,20 @@ def poly_bezout(r: Poly, v: Poly) -> tuple[Poly, Poly, Poly]:
 def rational_roots(p: Poly) -> set[Rat]:
     """All rational zeros of p, by the rational-root theorem.
 
-    Works on the primitive integer form: every root n/m (in lowest terms)
-    has n dividing the constant term and m dividing the leading
-    coefficient.  Each candidate is verified exactly.  Raises ValueError on
+    Works on the primitive integer form: every nonzero root n/m (in lowest
+    terms) has n dividing the lowest nonzero coefficient and m dividing the
+    leading one.  Each candidate is verified exactly.  Raises ValueError on
     the zero polynomial.
     """
     if p.is_zero():
         raise ValueError("the zero polynomial vanishes everywhere")
-    if p.is_constant():
-        return set()
-    cs = list(p.primitive().int_coeffs())
-    roots: set[Rat] = set()
-    low = 0
-    while cs[low] == 0:
-        low += 1
-    if low:
-        roots.add(Fraction(0))
-        cs = cs[low:]
-    if len(cs) <= 1:
-        return roots
-    const, lead = abs(cs[0]), abs(cs[-1])
-    d = len(cs) - 1
-    for n in divisors(const):
-        for m in divisors(lead):
-            if math.gcd(n, m) != 1:
-                continue
-            for cand_n in (n, -n):
-                mpows = [m**k for k in range(d + 1)]
-                acc = 0
-                for i in range(d, -1, -1):
-                    acc = acc * cand_n + cs[i] * mpows[d - i]
-                if acc == 0:
-                    roots.add(Fraction(cand_n, m))
+    cs = p.ints
+    low = next(i for i, c in enumerate(cs) if c)  # x^low divides p
+    roots = {Fraction(0)} if low else set()
+    for n in divisors(abs(cs[low])):
+        for m in divisors(cs[-1]):
+            if math.gcd(n, m) == 1:
+                roots.update(a for a in (Fraction(n, m), Fraction(-n, m)) if not p(a))
     return roots
 
 
@@ -444,7 +518,7 @@ class StdPoly:
             raise ValueError("common denominator must be positive")
 
     def to_poly(self) -> Poly:
-        return Poly(tuple(Fraction(r, self.denominator) for r in self.numerators))
+        return Poly.from_ints(self.numerators, self.denominator)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, StdPoly):
@@ -457,16 +531,17 @@ class StdPoly:
     def __str__(self) -> str:
         if not self.numerators:
             return f"(0)/{self.denominator}"
-        body = str(Poly(self.numerators))
+        body = str(Poly.from_ints(self.numerators))
         return f"({body})/{self.denominator}"
 
 
 def standardize(p: Poly) -> StdPoly:
     """Minimal common-denominator form of p: l is the lcm of the reduced
     coefficient denominators and the numerators are the scaled
-    coefficients."""
-    nums, l = _integer_form(p.coeffs)
-    return StdPoly(tuple(nums), l)
+    coefficients.  With p = (n/l) * ints and ints primitive, that lcm is
+    the content's denominator l itself."""
+    n = p.content.numerator
+    return StdPoly(tuple(n * c for c in p.ints), p.content.denominator)
 
 
 def appendix_oracle(b: list[Rat], a: list[Rat]) -> StdPoly:

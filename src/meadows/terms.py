@@ -7,9 +7,10 @@ literals and natural-number powers are definable sugar: ``IntLit(n)`` stands
 for the n-fold sum of 1 (negated for n < 0), ``Pow(t, n)`` for the n-fold
 product.  ``desugar`` removes both without changing the denoted function.
 
-Every traversal but printing is one post-order ``fold`` over an explicit
-stack; ``interpret`` specializes it to a term's value in a meadow.  Only
-the recursive-descent parser recurses.
+Every traversal but printing, equality and hashing is one post-order
+``fold`` over an explicit stack; ``interpret`` specializes it to a term's
+value in a meadow.  Those three keep their own stacks, and only the
+recursive-descent parser recurses.
 """
 
 from __future__ import annotations
@@ -20,58 +21,79 @@ from functools import reduce
 
 
 class Term:
-    """Base class for term nodes.  Instances are immutable and hashable."""
+    """Base class for term nodes.  Instances are immutable and hashable;
+    equality and hashing do not recurse, so terms of any depth compare."""
 
     __slots__ = ()
 
     def __str__(self) -> str:
         return format_term(self)
 
+    def _tokens(self) -> tuple:
+        """Pre-order listing of node types and integer fields, from an
+        explicit stack; node arities are fixed, so it determines the term."""
+        out, todo = [], [self]
+        while todo:
+            u = todo.pop()
+            out.append(type(u))
+            for name in reversed(u.__slots__):
+                v = getattr(u, name)
+                (todo if isinstance(v, Term) else out).append(v)
+        return tuple(out)
 
-@dataclass(frozen=True, slots=True)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Term):
+            return NotImplemented
+        return self is other or self._tokens() == other._tokens()
+
+    def __hash__(self) -> int:
+        return hash(self._tokens())
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class Zero(Term):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class One(Term):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class IntLit(Term):
     value: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Var(Term):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Neg(Term):
     arg: Term
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Add(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Mul(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Div(Term):
     num: Term
     den: Term
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Pow(Term):
     base: Term
     exponent: int

@@ -8,7 +8,7 @@ from meadows.checks import check_factor_reconstruction
 from meadows.factor import (
     Factorization,
     FactorizationError,
-    _zz_divmod_monic,
+    _monic_divmod,
     distinct_irreducible_factors,
     factor_rationals,
 )
@@ -185,8 +185,8 @@ def test_factorization_dataclass_product_of_unit():
 
 
 def test_monic_division_rejects_non_monic_divisor():
-    assert _zz_divmod_monic([2, 3, 1], [1, 1]) == ([2, 1], [])
+    assert _monic_divmod([2, 3, 1], [1, 1]) == ([2, 1], [])
     with pytest.raises(FactorizationError, match="not monic"):
-        _zz_divmod_monic([2, 3, 1], [1, 2])
+        _monic_divmod([2, 3, 1], [1, 2])
     with pytest.raises(FactorizationError):
-        _zz_divmod_monic([2, 3, 1], [])
+        _monic_divmod([2, 3, 1], [])

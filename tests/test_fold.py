@@ -2,8 +2,7 @@
 
 Deep inputs: every traversal of a term runs on an explicit stack, so terms
 far deeper than the interpreter's recursion limit evaluate, normalize and
-print.  Deep terms are compared by their text, because dataclass equality
-itself recurses.
+print, and compare and hash as values.
 
 Independent oracles: evaluation and normalization share the fold, so a
 flattening defect there would hide from checks that compare one with the
@@ -142,6 +141,18 @@ def test_deep_term_prints_and_desugars(deep_terms, name):
     assert format_term(t) == text
     assert format_term(desugar(t)) == text
     assert contains_var(t) is (name != "closed quotient")
+
+
+@pytest.mark.parametrize("name", DEEP)
+def test_deep_terms_compare_and_hash(deep_terms, name):
+    text, t = DEEP[name][0], deep_terms[name]
+    again = parse(text)
+    assert t is not again and t == again and hash(t) == hash(again)
+    assert len({t, again}) == 1
+    # the deepest leaf differs
+    other = parse(("1" if text[0] == "x" else "x") + text[1:])
+    assert t != other and not t == other
+    assert other not in {t}
 
 
 @pytest.mark.parametrize("name", ["sum", "quotient"])

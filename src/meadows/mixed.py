@@ -21,12 +21,20 @@ The integer scalings performed are recorded multiplicatively in
 by a positive integer n is justified by the single cancellation n/n = 1, so
 the emitted equality holds in every meadow of characteristic zero in which
 n is cancellable.
+
+``emit(nf, check=True)`` certifies its output instead of normalizing it
+again: the rendered term reads back as polynomials P + N/D, and three
+exact polynomial identities against num/den and the support prove that it
+takes the normal form's value everywhere on the model's carrier (see
+``certify``).  Nothing is factored or normalized anew.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 from .factor import _order_key
 from .normalform import (
@@ -37,7 +45,7 @@ from .normalform import (
     quotient_inv,
     root,
 )
-from .poly import P_ONE, P_ZERO, Poly, StdPoly, standardize
+from .poly import P_ONE, P_X, P_ZERO, Poly, StdPoly, poly_sum, standardize
 from .rationals import Rat
 from .terms import (
     Add,
@@ -51,6 +59,7 @@ from .terms import (
     X,
     ZERO,
     format_term,
+    interpret,
 )
 
 
@@ -132,7 +141,9 @@ class MixedFraction:
 
 
 class EmissionError(AssertionError):
-    """The emitted mixed fraction failed its own round-trip check."""
+    """The emitted mixed fraction failed its certificate: its rendering
+    does not read back as a polynomial plus a simple fraction, or one of
+    the identities that prove it equal to the normal form fails."""
 
 
 def _emit_from_parts(
@@ -176,32 +187,94 @@ def emit(nf: NF, check: bool = False) -> MixedFraction:
     h_r = E / r is invertible modulo r since distinct irreducibles share
     no roots; the sum then has residue v on every locus.  The fraction part
     (num*E*l - den*E*(l*g)) / (den*E*l) restores the reduced base off the
-    support while vanishing on it.
+    support while vanishing on it.  With ``check`` the rendered output is
+    certified (``certify``) and EmissionError raised if it fails.
     """
     if nf.den == P_ONE and not nf.corrections:  # a polynomial
         std = standardize(nf.num)
-        return MixedFraction(std, P_ZERO, P_ONE, std.denominator, ())
-    values = dict(nf.corrections)
-    loci = sorted(values.keys() | set(candidate_loci(nf.model, nf.den)),
-                  key=_order_key)
-    e = P_ONE
-    for r in loci:
-        e = e * r
-    g = P_ZERO
-    coefficients = []
-    for r in loci:
-        v = values.get(r, P_ZERO)
-        coeff = P_ZERO
-        if not v.is_zero():
-            h = e.exact_div(r)
-            coeff = (v * quotient_inv(h % r, r)) % r
-            g = g + h * coeff
-        coefficients.append(coeff)
-    targets = _targets(nf.model, loci, values, coefficients)
-    mf = _emit_from_parts(nf, g, e, targets)
-    if check and normalize(to_term(mf), nf.model) != nf:
-        raise EmissionError("emission failed round-trip")
+        mf = MixedFraction(std, P_ZERO, P_ONE, std.denominator, ())
+    else:
+        values = dict(nf.corrections)
+        loci = sorted(values.keys() | set(candidate_loci(nf.model, nf.den)),
+                      key=_order_key)
+        e = reduce(operator.mul, loci, P_ONE)
+        g = P_ZERO
+        coefficients = []
+        for r in loci:
+            v = values.get(r, P_ZERO)
+            coeff = P_ZERO
+            if not v.is_zero():
+                h = e.exact_div(r)
+                coeff = (v * quotient_inv(h % r, r)) % r
+                g = g + h * coeff
+            coefficients.append(coeff)
+        targets = _targets(nf.model, loci, values, coefficients)
+        mf = _emit_from_parts(nf, g, e, targets)
+    if check:
+        certify(nf, mf)
     return mf
+
+
+def _read_back(t: Term) -> Poly:
+    """The polynomial a rendered part denotes.  A constant divisor inverts
+    as a rational (0 to 0, as in a meadow); a nonconstant one has no place
+    in a rendered part."""
+
+    def inv(p: Poly) -> Poly:
+        if not p.is_constant():
+            raise EmissionError(f"rendered part divides by {p}")
+        return Poly.constant(1 / p.content) if p else P_ZERO
+
+    return interpret(t, Poly.constant, lambda: P_X, operator.neg, poly_sum,
+                     lambda *v: reduce(operator.mul, v), inv)
+
+
+def certify(nf: NF, mf: MixedFraction) -> None:
+    """Raise EmissionError unless the rendering of mf provably takes the
+    value of nf everywhere on the model's carrier.
+
+    ``to_term(mf)`` must read back as P + N/D with polynomials P, N and D
+    (divisions inside a part by constants only), so rendering is covered.
+    Let E be the product of the support: the correction loci and the
+    candidate loci of den, distinct irreducibles, so no two share a root.
+    The certificate is three exact identities:
+
+      (a) (P*D + N) * den = num * D;
+      (b) D = c * den * E for a nonzero rational c;
+      (c) P mod r is the target on every support locus r: the correction
+          residue, or 0 on an uncorrected locus (which divides den).
+
+    Soundness at a point a of the carrier.  If D(a) != 0, then by (b)
+    den(a) != 0 and a is on no support locus, so nf takes num(a)/den(a)
+    there, and by (a) so does P(a) + N(a)/D(a).  If D(a) = 0, the term
+    takes P(a), as N/D is 0 there in a meadow, and by (b) a is a root of
+    den or of E.  A root of den lies on an irreducible factor of den.
+    Over C every such factor is a candidate locus; over Q only rational
+    roots matter, and the factor of a rational root is linear, so again a
+    candidate locus.  So a lies on exactly one support locus r, and by (c)
+    P(a) is the target there: the correction value, or 0 on an
+    uncorrected locus, where nf takes num(a)/den(a) with den(a) = 0,
+    which is 0.
+
+    Nothing is normalized, and nothing is factored anew: candidate_loci
+    repeats the call emit made on the same den and hits the factor cache.
+    """
+    match to_term(mf):
+        case Add(left=poly_part, right=Div(num=num_part, den=den_part)):
+            p, n, d = (_read_back(u) for u in (poly_part, num_part, den_part))
+        case _:
+            raise EmissionError("rendering is not a polynomial plus a fraction")
+    targets = dict(nf.corrections)
+    support = targets.keys() | set(candidate_loci(nf.model, nf.den))
+    # (b): D and den*E are constant multiples exactly when their primitive
+    # integer parts agree.
+    if d.ints != (nf.den * reduce(operator.mul, support, P_ONE)).ints:
+        raise EmissionError("fraction denominator is not den times the support")
+    if (p * d + n) * nf.den != nf.num * d:
+        raise EmissionError("emitted fraction differs from num/den off the support")
+    for r in support:
+        if p % r != targets.get(r, P_ZERO):
+            raise EmissionError(f"polynomial part misses its target on {r}")
 
 
 def emit_with_witness(t: Term) -> tuple[MixedFraction, int]:

@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import reduce
 
 from .factor import _order_key, distinct_irreducible_factors
-from .poly import P_ONE, P_X, P_ZERO, Poly, poly_bezout, poly_gcd
+from .poly import P_ONE, P_X, P_ZERO, Poly, poly_bezout, poly_gcd, poly_sum
 from .rationals import Rat, eval_closed, eval_term, meadow_div
 from .terms import Term, interpret
 
@@ -262,7 +262,7 @@ def eval_term_mod(t: Term, r: Poly) -> Poly:
     if r.is_constant():
         raise ValueError("modulus must be nonconstant")
     return interpret(t, lambda n: Poly.constant(n) % r, lambda: P_X % r,
-                     operator.neg, lambda *v: sum(v, P_ZERO) % r,
+                     operator.neg, lambda *v: poly_sum(*v) % r,
                      lambda *v: reduce(lambda a, b: (a * b) % r, v),
                      lambda a: quotient_inv(a, r))
 

@@ -239,7 +239,10 @@ class Poly:
         a, b = self.ints, other.ints
         if not a or not b:
             return P_ZERO
-        content = self.content * other.content
+        # Primitive factors (every normal-form denominator and locus) have
+        # content 1: no Fraction product then.
+        ca, cb = self.content, other.content
+        content = cb if ca == 1 else ca if cb == 1 else ca * cb
         # A monomial c*x^k (constants included) is a scale and a shift.
         if not any(b[:-1]):
             return _poly(content, b[:-1] + a)
@@ -379,6 +382,23 @@ def _scaled(nums: list[int], num: int, den: int) -> Poly:
 P_ZERO = _poly(Fraction(0), ())
 P_ONE = Poly.constant(1)
 P_X = Poly.x()
+
+
+def poly_sum(*ps: Poly) -> Poly:
+    """Sum of any number of polynomials: each integer part rescaled once to
+    the lcm of the content denominators, then one gcd."""
+    ps = [p for p in ps if p.ints]
+    if len(ps) < 2:
+        return ps[0] if ps else P_ZERO
+    den = math.lcm(*[p.content.denominator for p in ps])
+    out = [0] * max(len(p.ints) for p in ps)
+    for p in ps:
+        c = p.content
+        f = c.numerator * (den // c.denominator)
+        for i, a in enumerate(p.ints):
+            if a:
+                out[i] += f * a
+    return _scaled(out, 1, den)
 
 
 # ---------------------------------------------------------------------------

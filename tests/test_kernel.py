@@ -20,6 +20,7 @@ from meadows.poly import (
     Poly,
     poly_bezout,
     poly_gcd,
+    poly_sum,
     standardize,
     zx_add,
     zx_divmod,
@@ -165,6 +166,24 @@ def test_ring_operations_match_reference():
                           (pa * pb, ref_mul(a, b)),
                           (-pa, ref_neg(ref_trim(a)))):
             assert_invariants(got)
+            assert list(got.coeffs) == want
+
+
+def test_powers_and_n_ary_sums_match_reference():
+    for a, b in cases(6, 300):
+        pa, pb = poly(a), poly(b)
+        want = [Fraction(1)]
+        for n in range(4):
+            got = pa ** n
+            assert_invariants(got)
+            assert list(got.coeffs) == want
+            want = ref_mul(want, ref_trim(a))
+        for terms in ((), (pa,), (pa, pb), (pa, pb, -pa, pb, pa)):
+            got = poly_sum(*terms)
+            assert_invariants(got)
+            want = []
+            for t in terms:
+                want = ref_add(want, list(t.coeffs))
             assert list(got.coeffs) == want
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from meadows import factor, mixed
 from meadows.checks import (
     check_emission,
     check_emission_idempotence,
@@ -11,16 +12,24 @@ from meadows.checks import (
 )
 from meadows.generate import random_rat, random_term
 from meadows.mixed import (
+    EmissionError,
     MixedFraction,
     build_indicator,
+    certify,
     emit,
     emit_with_witness,
     mixed_to_json_dict,
     to_term,
 )
-from meadows.normalform import Model, eval_term, eval_term_mod, normalize
+from meadows.normalform import (
+    Model,
+    candidate_loci,
+    eval_term,
+    eval_term_mod,
+    normalize,
+)
 from meadows.poly import P_ONE, P_ZERO, Poly, StdPoly
-from meadows.terms import TermClass, classify, format_term, parse
+from meadows.terms import Div, TermClass, classify, format_term, parse
 
 X = Poly((0, 1))
 
@@ -210,3 +219,206 @@ def test_json_schema():
         "witness_n": "1",
         "term": "1 + x/x^2",
     }
+
+
+
+# ---------------------------------------------------------------------------
+# The emission certificate
+
+
+def _eisenstein(rng, degree):
+    """Dense integer polynomial, Eisenstein at 3 and so irreducible."""
+    coeffs = [3 * rng.choice((-2, -1, 1, 2))]
+    coeffs += [3 * rng.randint(-3, 3) for _ in range(degree - 1)]
+    coeffs.append(rng.choice((1, 2, 4, 5, 7, 8)))
+    return Poly(coeffs).primitive()
+
+
+def _swinnerton_dyer(primes, shift):
+    """Minimal polynomial of shift + sum(+-sqrt(p)): starting from
+    x - shift, f(x+t)*f(x-t) = A^2 - p*B^2 where f(x+t) = A + t*B and
+    t^2 = p."""
+    f = Poly((-shift, 1))
+    for p in primes:
+        a = b = P_ZERO
+        for c in reversed(f.coeffs):
+            a, b = a * X + b.scale(p) + Poly.constant(c), a + b * X
+        f = a * a - (b * b).scale(p)
+    return f
+
+
+def _loci_shapes(seed):
+    """Inputs shaped like the loci workload over C: dense loci r1, r2 of
+    degree 24 and 16, and a shifted Swinnerton-Dyer locus of degree 16."""
+    rng = random.Random(seed)
+    r1, r2 = _eisenstein(rng, 24), _eisenstein(rng, 16)
+    sd = _swinnerton_dyer((2, 3, 5, 7), rng.randint(1, 9))
+    return [f"({r1})/({r1}) + 1/({r2})", f"1 - ({r1})/({r1})", f"1 - ({sd})/({sd})"]
+
+
+def _pfsum_shape(seed):
+    """A sum of 22 fractions b/(b*x - a) with distinct rational poles."""
+    rng = random.Random(seed)
+    poles = set()
+    while len(poles) < 22:
+        a, b = rng.randint(-40, 40), rng.randint(1, 9)
+        poles.add(Fraction(a, b))
+    return " + ".join(f"{p.denominator}/({p.denominator}*x - {p.numerator})"
+                      for p in sorted(poles))
+
+
+def _support(nf):
+    return sorted({r for r, _ in nf.corrections} | set(candidate_loci(nf.model, nf.den)),
+                  key=str)
+
+
+def _patch_parts(monkeypatch, change):
+    """Make emit pass its parts (nf, g, support product, targets) through
+    ``change`` before building the mixed fraction."""
+    build = mixed._emit_from_parts
+    monkeypatch.setattr(mixed, "_emit_from_parts",
+                        lambda *parts: build(*change(*parts)))
+
+
+def _patch_fraction(monkeypatch, change):
+    """Make emit replace the fraction part (fn, fd) by change(fn, fd)."""
+    build = mixed._emit_from_parts
+
+    def patched(*parts):
+        mf = build(*parts)
+        fn, fd = change(mf.frac_num, mf.frac_den)
+        return MixedFraction(mf.poly, fn, fd, mf.witness_n, mf.targets)
+
+    monkeypatch.setattr(mixed, "_emit_from_parts", patched)
+
+
+MUTATION_CASES = [(EXAMPLE2, Model.RAT), (EXAMPLE2, Model.COMPLEX),
+                  (EXAMPLE3, Model.COMPLEX), ("x/x + 1/(x^2-2)", Model.COMPLEX)]
+
+
+@pytest.fixture(params=MUTATION_CASES, ids=lambda c: f"{c[1].value}:{c[0]}")
+def case_nf(request):
+    text, model = request.param
+    nf = normalize(parse(text), model)
+    emit(nf, check=True)  # the unmutated emission is certified
+    return nf
+
+
+@pytest.mark.parametrize("which", [0, -1])
+def test_certificate_rejects_g_altered_on_one_locus(monkeypatch, case_nf, which):
+    r = _support(case_nf)[which]
+    _patch_parts(monkeypatch, lambda nf, g, e, targets:
+                 (nf, g + e.exact_div(r), e, targets))
+    with pytest.raises(EmissionError):
+        emit(case_nf, check=True)
+
+
+def test_certificate_rejects_altered_fraction_numerator(monkeypatch, case_nf):
+    _patch_fraction(monkeypatch, lambda fn, fd: (fn + P_ONE, fd))
+    with pytest.raises(EmissionError):
+        emit(case_nf, check=True)
+
+
+@pytest.mark.parametrize("which", [0, -1])
+def test_certificate_rejects_dropped_support_locus(monkeypatch, case_nf, which):
+    r = _support(case_nf)[which]
+    _patch_parts(monkeypatch, lambda nf, g, e, targets:
+                 (nf, g, e.exact_div(r), targets))
+    with pytest.raises(EmissionError):
+        emit(case_nf, check=True)
+
+
+def test_certificate_rejects_extra_denominator_factor(monkeypatch, case_nf):
+    _patch_fraction(monkeypatch, lambda fn, fd: (fn, fd * Poly((1, 0, 1))))
+    with pytest.raises(EmissionError):
+        emit(case_nf, check=True)
+
+
+def _alter_rendered_part(monkeypatch, part):
+    """Render part 0, 1 or 2 of to_term (polynomial part, fraction
+    numerator, fraction denominator) with its lead numerator raised by 1."""
+    render = mixed._coeff_poly_term
+    calls = []
+
+    def patched(numerators, denominator):
+        calls.append(None)
+        if (len(calls) - 1) % 3 == part:
+            numerators = list(numerators) or [0]
+            numerators[-1] += 1
+        return render(numerators, denominator)
+
+    monkeypatch.setattr(mixed, "_coeff_poly_term", patched)
+
+
+@pytest.mark.parametrize("part", [0, 1, 2])
+def test_certificate_rejects_altered_rendered_coefficient(monkeypatch, case_nf, part):
+    _alter_rendered_part(monkeypatch, part)
+    with pytest.raises(EmissionError):
+        emit(case_nf, check=True)
+
+
+def test_certificate_rejects_nonconstant_divisor_in_a_part(monkeypatch):
+    render = mixed._coeff_poly_term
+    monkeypatch.setattr(mixed, "_coeff_poly_term",
+                        lambda *a: Div(render(*a), parse("x + 1")))
+    nf = normalize(parse(EXAMPLE3), Model.COMPLEX)
+    with pytest.raises(EmissionError, match="divides by"):
+        emit(nf, check=True)
+
+
+def _verdicts(nf, mf):
+    """(certificate accepts, round trip reproduces nf) for one emission."""
+    try:
+        certify(nf, mf)
+        accepted = True
+    except EmissionError:
+        accepted = False
+    return accepted, normalize(to_term(mf), nf.model) == nf
+
+
+def _mutants(nf, mf):
+    """Emissions that differ from nf in value somewhere on the carrier:
+    fn raised by 1, and when fn is nonzero, fd times x^2 + 1 (over Q) or
+    x^2 + x + 1 (over C, where x^2 + 1 may be a support locus)."""
+    out = [MixedFraction(mf.poly, mf.frac_num + P_ONE, mf.frac_den, mf.witness_n)]
+    if not mf.frac_num.is_zero():
+        q = Poly((1, 0, 1)) if nf.model is Model.RAT else Poly((1, 1, 1))
+        out.append(MixedFraction(mf.poly, mf.frac_num, mf.frac_den * q, mf.witness_n))
+    return out
+
+
+def _assert_certificate_matches_round_trip(nf):
+    mf = emit(nf)
+    assert _verdicts(nf, mf) == (True, True)
+    for bad in _mutants(nf, mf):
+        assert _verdicts(nf, bad) == (False, False)
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_certificate_agrees_with_round_trip_on_random_terms(model):
+    rng = random.Random(48)
+    for _ in range(120):
+        _assert_certificate_matches_round_trip(normalize(random_term(rng, depth=5), model))
+
+
+@pytest.mark.parametrize("text, model", [
+    *[(_pfsum_shape(49), m) for m in Model],
+    *[(t, Model.COMPLEX) for t in _loci_shapes(50)],
+], ids=["pfsum-q", "pfsum-c", "loci-sum", "loci-indicator", "loci-sd"])
+def test_certificate_agrees_with_round_trip_on_workload_shapes(text, model):
+    _assert_certificate_matches_round_trip(normalize(parse(text), model))
+
+
+def test_certified_emission_neither_normalizes_nor_factors(monkeypatch):
+    caches = (factor._distinct_factors_of_primitive, factor._squarefree_factors_cached,
+              factor._zassenhaus_monic)
+    nfs = [normalize(parse(t), Model.COMPLEX) for t in _loci_shapes(51)]
+
+    def fail(*args):
+        raise AssertionError("emit normalized its output again")
+
+    monkeypatch.setattr(mixed, "normalize", fail)
+    misses = [c.cache_info().misses for c in caches]
+    for nf in nfs:
+        emit(nf, check=True)
+    assert [c.cache_info().misses for c in caches] == misses

@@ -30,6 +30,7 @@ from .normalform import (
     nf_mul,
     nf_neg,
     normalize,
+    quotient_inv,
     root,
 )
 from .poly import (
@@ -157,7 +158,9 @@ def check_desugar(seed: int = 0, rounds: int = 100) -> CheckResult:
 
 
 def check_bezout(seed: int = 0, rounds: int = 200) -> CheckResult:
-    """r*vp + v*rp = gcd holds exactly; coprime inputs give gcd 1."""
+    """r*vp + v*rp = gcd holds exactly; coprime inputs give gcd 1, and for
+    them quotient_inv(a, b) is a reduced s with a*s = 1 mod b, on the
+    first call and again from the inverse cache."""
     rng = random.Random(seed)
     coprime_seen = 0
     for _ in range(rounds):
@@ -168,6 +171,13 @@ def check_bezout(seed: int = 0, rounds: int = 200) -> CheckResult:
             return CheckResult("bezout", False, f"identity fails for {a}, {b}")
         if g == P_ONE:
             coprime_seen += 1
+            if b.is_constant():
+                continue
+            for _ in range(2):
+                s = quotient_inv(a, b)
+                if s.degree >= b.degree or (a * s) % b != P_ONE:
+                    return CheckResult("bezout", False,
+                                       f"quotient_inv({a}, {b}) = {s}")
     return CheckResult("bezout", True,
                        f"{rounds} pairs, {coprime_seen} coprime")
 

@@ -22,12 +22,7 @@ from fractions import Fraction
 
 from . import checks
 from .decide import distinguishing_witness, finite_support_sum, simple_fraction
-from .mixed import (
-    PointTarget,
-    emit,
-    mixed_to_json_dict,
-    to_term,
-)
+from .mixed import PointTarget, emit, mixed_to_json_dict
 from .normalform import Model, eval_term, normalize
 from .rationals import eval_closed
 from .terms import TermSyntaxError, classify, format_term, parse
@@ -94,7 +89,7 @@ def cmd_normalize(args) -> int:
             payload["targets"] = [_target_json(t) for t in mf.targets]
         _emit_json(payload)
         return 0
-    print(format_term(to_term(mf)))
+    print(format_term(mf.term))
     print(f"g = {mf.poly}")
     print(f"f = ({mf.frac_num})/({mf.frac_den})")
     print(f"witness n = {mf.witness_n}")
@@ -187,13 +182,16 @@ def cmd_check(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads an argument that starts with a single "-" and names no option
-    as a positional, so terms such as -x and points such as -1/2 need no
-    "--" before them."""
+    """Reads an argument that starts with "-" and names no option, neither
+    exactly nor as an abbreviation of a long option, as a positional, so
+    terms such as -x and --6 and points such as -1/2 need no "--" before
+    them."""
 
     def _parse_optional(self, arg_string):
-        if (arg_string.startswith("-") and not arg_string.startswith("--")
-                and arg_string not in self._option_string_actions):
+        name = arg_string.split("=", 1)[0]
+        if arg_string.startswith("-") and not any(
+                option == name or (name.startswith("--") and option.startswith(name))
+                for option in self._option_string_actions):
             return None
         return super()._parse_optional(arg_string)
 

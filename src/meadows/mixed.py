@@ -34,7 +34,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 
 from .factor import _order_key
 from .normalform import (
@@ -123,7 +123,8 @@ class MixedFraction:
     ``witness_n`` is positive and divisible by the polynomial part's common
     denominator; it records every integer scaling used, so n/n = 1 suffices
     to justify the transformation equationally.  ``targets`` carries the
-    emission diagnostics and does not take part in equality.
+    emission diagnostics and does not take part in equality.  ``term`` is
+    the rendering (``to_term``), built once on first read.
     """
 
     poly: StdPoly
@@ -138,6 +139,10 @@ class MixedFraction:
         if self.witness_n <= 0 or self.witness_n % self.poly.denominator:
             raise ValueError("witness must be a positive multiple of the "
                              "common denominator")
+
+    @cached_property
+    def term(self) -> Term:
+        return to_term(self)
 
 
 class EmissionError(AssertionError):
@@ -233,8 +238,9 @@ def certify(nf: NF, mf: MixedFraction) -> None:
     """Raise EmissionError unless the rendering of mf provably takes the
     value of nf everywhere on the model's carrier.
 
-    ``to_term(mf)`` must read back as P + N/D with polynomials P, N and D
-    (divisions inside a part by constants only), so rendering is covered.
+    The rendering ``mf.term`` must read back as P + N/D with polynomials
+    P, N and D (divisions inside a part by constants only), so rendering
+    is covered.
     Let E be the product of the support: the correction loci and the
     candidate loci of den, distinct irreducibles, so no two share a root.
     The certificate is three exact identities:
@@ -259,7 +265,7 @@ def certify(nf: NF, mf: MixedFraction) -> None:
     Nothing is normalized, and nothing is factored anew: candidate_loci
     repeats the call emit made on the same den and hits the factor cache.
     """
-    match to_term(mf):
+    match mf.term:
         case Add(left=poly_part, right=Div(num=num_part, den=den_part)):
             p, n, d = (_read_back(u) for u in (poly_part, num_part, den_part))
         case _:
@@ -353,5 +359,5 @@ def mixed_to_json_dict(mf: MixedFraction, model: Model) -> dict:
             "den": [str(c) for c in mf.frac_den.int_coeffs()],
         },
         "witness_n": str(mf.witness_n),
-        "term": format_term(to_term(mf)),
+        "term": format_term(mf.term),
     }

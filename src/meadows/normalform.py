@@ -17,9 +17,12 @@ The form is canonical: the base is reduced with a primitive, positive-
 leading denominator, corrections are minimal (never equal to the value the
 base already gives) and ordered by locus degree then coefficients, so
 structural equality coincides with semantic equality.  Normalization
-interprets the term in the algebra of normal forms (``terms.interpret``):
-a whole sum or product chain is one nf_add or nf_mul, and no step
-recurses, so terms of any depth normalize.
+interprets the term (``terms.interpret``) over polynomials and normal
+forms: division-free subterms stay ``Poly`` values (x^k is a chain of
+monomial shifts), a value becomes an ``NF`` only when a division reaches
+it, a whole sum or product chain is one operation, and no step recurses,
+so terms of any depth normalize.  Each Bezout inverse in Q[x]/(r) is
+computed once per process, in a bounded cache like the factor caches.
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ import enum
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 
-from .factor import _order_key, distinct_irreducible_factors
+from .factor import CACHE_SIZE, _order_key, distinct_irreducible_factors
 from .poly import P_ONE, P_X, P_ZERO, Poly, poly_bezout, poly_gcd, poly_sum
 from .rationals import Rat, eval_closed, eval_term, meadow_div
 from .terms import Term, interpret
@@ -168,6 +171,14 @@ def quotient_inv(a: Poly, modulus: Poly) -> Poly:
         return P_ZERO
     if a.is_constant():
         return Poly.constant(1 / a.content)
+    return _bezout_inverse(a, modulus)
+
+
+# Only nonconstant residues are memoized: the constant ones (every residue
+# modulo a linear locus) need no Bezout and would only crowd the cache.
+# A reducible modulus raises on every call, as exceptions are not cached.
+@lru_cache(maxsize=CACHE_SIZE)
+def _bezout_inverse(a: Poly, modulus: Poly) -> Poly:
     g, _, vp = poly_bezout(a, modulus)
     if g != P_ONE:
         raise LocusMustSplitError(modulus, g)
@@ -182,23 +193,19 @@ def nf_neg(a: NF) -> NF:
     return NF(a.model, -a.num, a.den, tuple((r, -s) for r, s in a.corrections))
 
 
-def _combine(nfs: tuple[NF, ...], op, unit: Poly, base) -> NF:
-    """Sum or product (op, with neutral element unit) of normal forms.  The
-    polynomial operands (den 1, no corrections) merge into one first;
-    ``base`` gives the unreduced num/den of the others, reduced once.
-    Every root of the reduced denominator is a root of some operand
-    denominator, so the operands' loci are the only candidates."""
-    model = nfs[0].model
-    if any(nf.model is not model for nf in nfs):
+def _combine(values: tuple[NF | Poly, ...], op, unit: Poly, base) -> NF:
+    """Sum or product (op, with neutral element unit) of normal forms and
+    polynomials, at least one of them a normal form.  The polynomials
+    merge into one first; ``base`` gives the unreduced num/den of all
+    operands, reduced once.  Every root of the reduced denominator is a
+    root of some operand denominator, so the operands' loci are the only
+    candidates."""
+    rest = [v for v in values if type(v) is NF]
+    model = rest[0].model
+    if any(nf.model is not model for nf in rest):
         raise TypeError("cannot combine normal forms of different models")
-    polys, rest = [], []
-    for nf in nfs:
-        if nf.corrections or nf.den != P_ONE:
-            rest.append(nf)
-        else:
-            polys.append(nf.num)
-    p = reduce(op, polys, unit)
-    if p != unit or not rest:
+    p = reduce(op, (v for v in values if type(v) is Poly), unit)
+    if p != unit:
         rest.append(NF(model, p, P_ONE, ()))
     if len(rest) == 1:
         return rest[0]
@@ -225,14 +232,16 @@ def _product_base(nfs: list[NF]) -> tuple[Poly, Poly]:
             reduce(operator.mul, (nf.den for nf in nfs)))
 
 
-def nf_add(*nfs: NF) -> NF:
-    """Sum of normal forms, over the lcm of their denominators."""
-    return _combine(nfs, operator.add, P_ZERO, _sum_base)
+def nf_add(*values: NF | Poly) -> NF:
+    """Sum of normal forms and polynomials (at least one normal form),
+    over the lcm of their denominators."""
+    return _combine(values, operator.add, P_ZERO, _sum_base)
 
 
-def nf_mul(*nfs: NF) -> NF:
-    """Product of normal forms."""
-    return _combine(nfs, operator.mul, P_ONE, _product_base)
+def nf_mul(*values: NF | Poly) -> NF:
+    """Product of normal forms and polynomials (at least one normal
+    form)."""
+    return _combine(values, operator.mul, P_ONE, _product_base)
 
 
 def nf_inv(a: NF) -> NF:
@@ -270,15 +279,36 @@ def eval_term_mod(t: Term, r: Poly) -> Poly:
 def normalize(t: Term, model: Model) -> NF:
     """Normal form of a term in the given model.
 
-    The term is interpreted in the algebra of normal forms: constants and
-    the variable embed as polynomials over 1 with no corrections, a sum or
-    product chain maps to one nf_add or nf_mul, and division to
-    multiplication by nf_inv.  The result evaluates exactly like the term
-    everywhere on the model's carrier.
+    The term is interpreted in an algebra whose values are polynomials or
+    normal forms.  Constants and the variable are polynomials, and so are
+    negations, sums and products of polynomials and inverses of constants
+    (0 inverting to 0).  The inverse of a nonconstant polynomial is the
+    first normal form (nf_inv of the polynomial over 1); a sum or product
+    chain with a normal form in it maps to one nf_add or nf_mul.  The
+    value at the root is lifted to a normal form, which evaluates exactly
+    like the term everywhere on the model's carrier.
     """
-    x = NF(model, P_X, P_ONE, ())
-    return interpret(t, lambda n: NF(model, Poly.constant(n), P_ONE, ()),
-                     lambda: x, nf_neg, nf_add, nf_mul, nf_inv)
+
+    def neg(v):
+        return nf_neg(v) if type(v) is NF else -v
+
+    def add(*vs):
+        return nf_add(*vs) if any(type(v) is NF for v in vs) else poly_sum(*vs)
+
+    def mul(*vs):
+        if any(type(v) is NF for v in vs):
+            return nf_mul(*vs)
+        return reduce(operator.mul, vs)
+
+    def inv(v):
+        if type(v) is NF:
+            return nf_inv(v)
+        if v.is_constant():
+            return Poly.constant(1 / v.content) if v else P_ZERO
+        return nf_inv(NF(model, v, P_ONE, ()))
+
+    out = interpret(t, Poly.constant, lambda: P_X, neg, add, mul, inv)
+    return out if type(out) is NF else NF(model, out, P_ONE, ())
 
 
 __all__ = [

@@ -209,6 +209,32 @@ def test_options_around_expression_starting_with_minus(capsys):
     assert json.loads(out) == {"value": "-9"}
 
 
+@pytest.mark.parametrize("expr", ["--6", "--(x + 1)", "--x/x"])
+def test_expression_starting_with_double_minus(capsys, expr):
+    expected = run(capsys, "normalize", "--", expr)
+    assert expected[0] == 0
+    assert run(capsys, "normalize", expr) == expected
+    assert (run(capsys, "normalize", expr, "--model", "c", "--output", "json")
+            == run(capsys, "normalize", "--model", "c", "--output", "json", "--", expr))
+
+
+def test_printed_double_negation_reads_back(capsys):
+    code, out, _ = run(capsys, "parse", "-(-6)")
+    assert code == 0
+    printed = out.splitlines()[0]
+    assert printed == "--6"
+    code, out, _ = run(capsys, "normalize", printed)
+    assert code == 0
+    assert out.splitlines()[0] == "6 + 0/1"
+
+
+def test_option_abbreviations_still_name_options(capsys):
+    expected = run(capsys, "normalize", "--model", "c", "--output", "json", "x")
+    assert expected[0] == 0
+    assert run(capsys, "normalize", "--mod", "c", "--out=json", "x") == expected
+    assert run(capsys, "normalize", "x", "--model=c", "--o", "json") == expected
+
+
 def test_deep_nesting_exits_3_without_traceback(capsys):
     deep = "(" * 3000 + "x" + ")" * 3000
     code, out, err = run(capsys, "eq", deep, "x")

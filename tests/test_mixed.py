@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from meadows import factor, mixed
+from meadows import mixed, normalform
+from meadows.cli import main
 from meadows.checks import (
     check_emission,
     check_emission_idempotence,
@@ -409,9 +410,8 @@ def test_certificate_agrees_with_round_trip_on_workload_shapes(text, model):
     _assert_certificate_matches_round_trip(normalize(parse(text), model))
 
 
-def test_certified_emission_neither_normalizes_nor_factors(monkeypatch):
-    caches = (factor._distinct_factors_of_primitive, factor._squarefree_factors_cached,
-              factor._zassenhaus_monic)
+def test_certified_emission_neither_normalizes_nor_factors(monkeypatch, cold_caches):
+    caches = cold_caches[:3]  # the factor caches
     nfs = [normalize(parse(t), Model.COMPLEX) for t in _loci_shapes(51)]
 
     def fail(*args):
@@ -422,3 +422,32 @@ def test_certified_emission_neither_normalizes_nor_factors(monkeypatch):
     for nf in nfs:
         emit(nf, check=True)
     assert [c.cache_info().misses for c in caches] == misses
+
+
+def test_loci_sum_inverts_its_shared_residue_once(monkeypatch, cold_caches):
+    # In r1/r1 + 1/r2 the sum, and then the reduced base, need the inverse
+    # of r2 modulo r1: the second is a cache hit.
+    calls = []
+    bezout = normalform.poly_bezout
+    monkeypatch.setattr(normalform, "poly_bezout",
+                        lambda *args: calls.append(args) or bezout(*args))
+    normalize(parse(_loci_shapes(52)[0]), Model.COMPLEX)
+    assert len(calls) == 1
+
+
+def test_each_emission_is_rendered_once(monkeypatch, capsys):
+    calls = []
+    render = mixed.to_term
+    monkeypatch.setattr(mixed, "to_term", lambda mf: calls.append(mf) or render(mf))
+    for text, model in MUTATION_CASES:
+        calls.clear()
+        mf = emit(normalize(parse(text), model), check=True)
+        assert mixed_to_json_dict(mf, model)["term"] == format_term(render(mf))
+        mixed_to_json_dict(mf, model)
+        assert calls == [mf]
+        for output in ("text", "json"):
+            calls.clear()
+            assert main(["normalize", "--model", model.value, "--output", output,
+                         "--dump-nf", text]) == 0
+            assert len(calls) == 1
+    capsys.readouterr()

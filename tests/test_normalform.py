@@ -11,6 +11,7 @@ from meadows.checks import (
     check_nf_minimality,
     check_nf_soundness,
 )
+from meadows import normalform
 from meadows.generate import random_term
 from meadows.normalform import (
     NF,
@@ -23,9 +24,22 @@ from meadows.normalform import (
     nf_mul,
     nf_neg,
     normalize,
+    quotient_inv,
 )
-from meadows.poly import P_ONE, P_ZERO, Poly
-from meadows.terms import Add, IntLit, Mul, Neg, ONE, Pow, X as VAR, ZERO, parse
+from meadows.poly import P_ONE, P_ZERO, Poly, poly_bezout
+from meadows.terms import (
+    Add,
+    IntLit,
+    Mul,
+    Neg,
+    ONE,
+    Pow,
+    X as VAR,
+    ZERO,
+    format_term,
+    interpret,
+    parse,
+)
 
 X = Poly((0, 1))
 
@@ -290,3 +304,90 @@ def test_rational_nf_is_complex_nf_on_linear_loci():
         nf_c = normalize(t, Model.COMPLEX)
         linear = tuple((r, s) for r, s in nf_c.corrections if r.degree == 1)
         assert normalize(t, Model.RAT) == NF(Model.RAT, nf_c.num, nf_c.den, linear)
+
+
+# ---------------------------------------------------------------------------
+# Division-free subterms stay polynomials; each inverse is computed once
+
+
+def _reference_normalize(t, model):
+    """Normalization in the algebra of normal forms alone: every leaf is
+    lifted into NF, so every sum, product and power is an NF operation."""
+    x = NF(model, X, P_ONE, ())
+    return interpret(t, lambda n: NF(model, Poly.constant(n), P_ONE, ()),
+                     lambda: x, nf_neg, nf_add, nf_mul, nf_inv)
+
+
+def _power_term(rng):
+    """A division-free term with powers of x up to x^60."""
+    parts = [f"{rng.randint(-9, 9)}*x^{rng.randint(0, 60)}"
+             for _ in range(rng.randint(1, 6))]
+    return parse(" + ".join(parts) + f" - (x + {rng.randint(0, 3)})^{rng.randint(0, 4)}"
+                 f" * x^{rng.randint(0, 60)}")
+
+
+def _chain_term(rng):
+    """A depth-4 term behind a chain of up to 600 summands x - x + ..."""
+    n = rng.choice((50, 300))
+    return parse("x - x + " * n + f"({format_term(random_term(rng, depth=4))})")
+
+
+@pytest.mark.parametrize("model", list(Model))
+@pytest.mark.parametrize("make", [
+    lambda rng: random_term(rng, depth=5), _power_term, _chain_term,
+], ids=["random", "powers", "chains"])
+def test_normalize_matches_the_nf_only_algebra(model, make):
+    rng = random.Random(62)
+    for _ in range(60):
+        t = make(rng)
+        assert normalize(t, model) == _reference_normalize(t, model)
+
+
+def test_division_free_terms_never_enter_the_nf_algebra(monkeypatch):
+    def fail(*args):
+        raise AssertionError("a division-free subterm became a normal form")
+
+    for name in ("nf_add", "nf_mul", "nf_inv", "nf_neg"):
+        monkeypatch.setattr(normalform, name, fail)
+    t = parse("(x + 1)^60 - x*x^59 + 3/2 - 1/0 + (x^2 - 2)/(0 - 7)")
+    expected = (Poly((1, 1)) ** 60 - X ** 60 + Poly.constant(Fraction(3, 2))
+                - Poly((-2, 0, 1)).scale(Fraction(1, 7)))
+    for model in Model:
+        assert normalize(t, model) == NF(model, expected, P_ONE, ())
+
+
+def _eisenstein_locus(rng, degree):
+    """Monic, Eisenstein at 3 and so irreducible."""
+    return Poly([3 * rng.choice((-2, -1, 1, 2))]
+                + [3 * rng.randint(-3, 3) for _ in range(degree - 1)] + [1])
+
+
+def test_quotient_inv_agrees_with_bezout_on_miss_and_hit(cold_caches):
+    cache = normalform._bezout_inverse
+    rng = random.Random(63)
+    for _ in range(30):
+        r = _eisenstein_locus(rng, rng.randint(2, 12))
+        a = Poly([rng.randint(-9, 9) for _ in range(r.degree - 1)] + [rng.randint(1, 9)])
+        expected = poly_bezout(a, r)[2] % r
+        for outcome in ("misses", "hits"):
+            before = cache.cache_info()
+            s = quotient_inv(a, r)
+            assert getattr(cache.cache_info(), outcome) == getattr(before, outcome) + 1
+            assert s == expected
+            assert (a * s) % r == P_ONE
+
+
+def test_constant_residues_bypass_the_inverse_cache(cold_caches):
+    r = Poly((-2, 0, 1))
+    assert quotient_inv(Poly.constant(Fraction(-3, 4)), r) == Poly.constant(Fraction(-4, 3))
+    assert quotient_inv(P_ZERO, r) == P_ZERO
+    assert normalform._bezout_inverse.cache_info().currsize == 0
+
+
+def test_reducible_modulus_raises_on_every_call(cold_caches):
+    modulus = Poly((1, 0, 1)) * Poly((-1, 1))  # (x^2 + 1)(x - 1)
+    for _ in range(2):
+        with pytest.raises(LocusMustSplitError):
+            quotient_inv(Poly((-1, 1)), modulus)
+    info = normalform._bezout_inverse.cache_info()
+    assert (info.misses, info.currsize) == (2, 0)

@@ -34,7 +34,6 @@ from .mixed import (
 )
 from .normalform import (
     NF,
-    LocusMustSplitError,
     Model,
     eval_term,
     eval_term_mod,

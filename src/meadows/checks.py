@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import decide, mixed
+from .factor import distinct_irreducible_factors
 from .generate import (
     random_closed_fraction_term,
     random_int_poly,
@@ -20,29 +21,10 @@ from .generate import (
     random_rat,
     random_term,
 )
-from .normalform import (
-    Model,
-    candidate_loci,
-    eval_term,
-    eval_term_mod,
-    nf_add,
-    nf_inv,
-    nf_mul,
-    nf_neg,
-    normalize,
-    quotient_inv,
-    root,
-)
-from .poly import (
-    P_ONE,
-    Poly,
-    appendix_oracle,
-    lagrange_interpolate,
-    poly_bezout,
-    poly_gcd,
-    rational_roots,
-    standardize,
-)
+from .normalform import (Model, eval_term, eval_term_mod, nf_add, nf_inv, nf_mul,
+                         nf_neg, normalize, quotient_inv, root)
+from .poly import (P_ONE, Poly, appendix_oracle, lagrange_interpolate, poly_bezout,
+                   poly_gcd, rational_roots, squarefree_part, standardize)
 from .rationals import meadow_inv
 from .terms import (
     Add,
@@ -158,28 +140,38 @@ def check_desugar(seed: int = 0, rounds: int = 100) -> CheckResult:
 
 
 def check_bezout(seed: int = 0, rounds: int = 200) -> CheckResult:
-    """r*vp + v*rp = gcd holds exactly; coprime inputs give gcd 1, and for
-    them quotient_inv(a, b) is a reduced s with a*s = 1 mod b, on the
-    first call and again from the inverse cache."""
+    """r*vp + v*rp = gcd holds exactly, also for the pairs (every other
+    one) given a planted common factor.  For coprime inputs quotient_inv
+    is the inverse modulo b, on the first call and again from the inverse
+    cache; when a shares a factor with b it is the meadow inverse modulo
+    the squarefree part m of b: s*a*s = s and a*s*a = a modulo m."""
     rng = random.Random(seed)
-    coprime_seen = 0
-    for _ in range(rounds):
-        a = random_int_poly(rng, 6)
-        b = random_int_poly(rng, 6)
+    coprime_seen = shared_seen = 0
+    for i in range(rounds):
+        a, b = random_int_poly(rng, 6), random_int_poly(rng, 6)
+        if i % 2:
+            common = Poly((rng.randint(-9, 9), 1)) * random_int_poly(rng, 2)
+            a, b = a * common, b * common
         g, rp, vp = poly_bezout(a, b)
         if a * vp + b * rp != g or g != poly_gcd(a, b):
             return CheckResult("bezout", False, f"identity fails for {a}, {b}")
-        if g == P_ONE:
+        if g.is_constant():
             coprime_seen += 1
             if b.is_constant():
                 continue
             for _ in range(2):
                 s = quotient_inv(a, b)
                 if s.degree >= b.degree or (a * s) % b != P_ONE:
-                    return CheckResult("bezout", False,
-                                       f"quotient_inv({a}, {b}) = {s}")
-    return CheckResult("bezout", True,
-                       f"{rounds} pairs, {coprime_seen} coprime")
+                    return CheckResult("bezout", False, f"quotient_inv({a}, {b}) = {s}")
+        else:
+            shared_seen += 1
+            m = squarefree_part(b)
+            r = a % m
+            s = quotient_inv(r, m)
+            if s.degree >= m.degree or (r * s * r) % m != r or (s * r * s) % m != s:
+                return CheckResult("bezout", False, f"quotient_inv({r}, {m}) = {s}")
+    return CheckResult("bezout", True, f"{rounds} pairs, {coprime_seen} coprime, "
+                                       f"{shared_seen} with a common factor")
 
 
 def check_factor_reconstruction(seed: int = 0, rounds: int = 200) -> CheckResult:
@@ -226,7 +218,8 @@ def check_rational_roots_oracle(seed: int = 0, rounds: int = 100) -> CheckResult
         if got != expected:
             return CheckResult("rational-roots", False,
                                f"{p}: {got} != {expected}")
-        if {root(r) for r in candidate_loci(Model.RAT, p)} != expected:
+        linear = [r for r in distinct_irreducible_factors(p) if r.degree == 1]
+        if {root(r) for r in linear} != expected:
             return CheckResult("rational-roots", False,
                                f"factor-based roots disagree on {p}")
     return CheckResult("rational-roots", True, f"{rounds} polynomials")
@@ -333,12 +326,10 @@ def check_nf_canonicity(seed: int = 0, rounds: int = 100) -> CheckResult:
             if ns == nt and not agree_samples:
                 return CheckResult("nf-canonicity", False,
                                    "equal forms disagreeing at a point")
-            if ns == nt and model is Model.COMPLEX:
-                loci = {r for r, _ in ns.corrections}
-                loci |= {r for r, _ in nt.corrections}
-                if any(eval_term_mod(s, r) != eval_term_mod(t, r) for r in loci):
+            if ns == nt and model is Model.COMPLEX and ns.locus != P_ONE:
+                if eval_term_mod(s, ns.locus) != eval_term_mod(t, ns.locus):
                     return CheckResult("nf-canonicity", False,
-                                       "equal forms disagreeing on a locus")
+                                       "equal forms disagreeing on the locus")
             if ns != nt:
                 witness = decide.distinguishing_witness(s, t, model)
                 if witness is None:
@@ -371,23 +362,17 @@ def check_nf_minimality(seed: int = 0, rounds: int = 300) -> CheckResult:
 
 def check_model_refinement(seed: int = 0, rounds: int = 200) -> CheckResult:
     """The complex normal form restricted to rational points agrees with
-    the rational one; every rational exception point appears as a linear
-    locus with matching value."""
+    the rational one; every rational exception point is a root of the
+    complex locus, with matching value."""
     rng = random.Random(seed)
     for _ in range(rounds):
         t = random_term(rng, depth=5)
         nf_q = normalize(t, Model.RAT)
         nf_c = normalize(t, Model.COMPLEX)
         for pt, v in nf_q.exceptions:
-            for r, s_val in nf_c.corrections:
-                if r(pt) == 0:
-                    if s_val(pt) != v:
-                        return CheckResult("model-refinement", False,
-                                           f"value mismatch at {pt}")
-                    break
-            else:
+            if nf_c.locus(pt) or nf_c.residue(pt) != v:
                 return CheckResult("model-refinement", False,
-                                   f"no complex locus covers {pt}")
+                                   f"no complex correction {v} at {pt}")
         for _ in range(10):
             pt = random_rat(rng)
             if nf_c.value_at(pt) != nf_q.value_at(pt):
@@ -425,10 +410,9 @@ def check_emission(seed: int = 0, rounds: int = 500,
             if eval_term(term_c, pt) != expected:
                 return CheckResult("emission", False,
                                    f"C fidelity: {format_term(t)} at {pt}")
-        for r, s_val in nf_c.corrections:
-            if eval_term_mod(term_c, r) != s_val:
-                return CheckResult("emission", False,
-                                   f"C residue mismatch on {r}")
+        if nf_c.locus != P_ONE and eval_term_mod(term_c, nf_c.locus) != nf_c.residue:
+            return CheckResult("emission", False,
+                               f"C residue mismatch on {nf_c.locus}")
     return CheckResult("emission", True,
                        f"{rounds} terms x {points} points x 2 models")
 

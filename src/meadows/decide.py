@@ -4,13 +4,13 @@ Because normal forms are canonical (structural equality coincides with
 semantic equality on the model), equality of two terms is decided by
 normalizing both sides.  Simple-fraction expressibility over the rationals
 holds exactly when every exceptional value is 0, in which case multiplying
-the reduced base through by the support product exhibits the fraction.
+the reduced base through by the correction locus exhibits the fraction.
 Finite-support summation reduces to the normal form as well: a nonzero
 reduced base is nonzero at all but finitely many arguments, so the support
 is infinite and the sum is 0 by convention; otherwise the support lies on
-the correction loci and the sum is computed exactly from Newton-identity
-trace sums (on a linear locus, the value at its root).  Both models share
-one procedure; a rational-model witness is reported at a point.
+the correction locus and the sum is the Newton-identity trace sum of the
+residue over the roots of the squarefree locus.  Both models share one
+procedure; a rational-model witness is reported at a point.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .mixed import _coeff_poly_term, build_indicator
-from .factor import _order_key
-from .normalform import Model, NF, eval_closed, normalize, root
-from .poly import Poly, trace_sum
+from .mixed import _coeff_poly_term
+from .factor import _order_key, distinct_irreducible_factors
+from .normalform import Model, NF, _gcd, _quo, eval_closed, normalize, root
+from .poly import P_ONE, Poly, trace_sum
 from .rationals import Rat
 from .terms import Div, Term
 
@@ -69,23 +69,27 @@ class LocusWitness:
 def distinguishing_witness(s: Term, t: Term, model: Model):
     """Evidence for inequality: None when equal, else a point or locus
     witness with the two differing values.  Between equal bases the
-    witness is the first differing correction: over Q the least point,
-    over C the first locus in canonical order."""
-    nf1 = normalize(s, model)
-    nf2 = normalize(t, model)
+    witness is the first point where the residues differ: over Q the least
+    point, over C the first irreducible locus in canonical order."""
+    nf1, nf2 = normalize(s, model), normalize(t, model)
     if nf1 == nf2:
         return None
     if (nf1.num, nf1.den) != (nf2.num, nf2.den):
         return _base_witness(nf1, nf2)
-    loci = {r for r, _ in nf1.corrections} | {r for r, _ in nf2.corrections}
-    differing = [r for r in loci if nf1.value_mod(r) != nf2.value_mod(r)]
+    # Residues are compared on the coprime parts g = gcd(R1, R2), R1/g and
+    # R2/g of the lcm, not modulo all of it; the differing part is factored.
+    g = _gcd(nf1.locus, nf2.locus)
+    parts = (g, _quo(nf1.locus, g), _quo(nf2.locus, g))
+    left, right = (nf.value_mod(parts[0] * parts[1] * parts[2]) for nf in (nf1, nf2))
+    keep = [_quo(m, _gcd(m, left - right)) for m in parts]
+    differing = [(r, left % r, right % r)
+                 for r in distinct_irreducible_factors(keep[0] * keep[1] * keep[2])]
     if not differing:
         raise AssertionError("unequal normal forms must differ somewhere")
     if model is Model.RAT:
-        a = min(map(root, differing))
+        a = min(root(r) for r, _, _ in differing)
         return PointWitness(a, nf1.value_at(a), nf2.value_at(a))
-    r = min(differing, key=_order_key)
-    return LocusWitness(r, nf1.value_mod(r), nf2.value_mod(r))
+    return LocusWitness(*min(differing, key=lambda d: _order_key(d[0])))
 
 
 def _base_witness(nf1: NF, nf2: NF) -> PointWitness:
@@ -98,7 +102,7 @@ def _base_witness(nf1: NF, nf2: NF) -> PointWitness:
         for a in (Fraction(k), Fraction(-k)):
             if diff(a) == 0 or nf1.den(a) == 0 or nf2.den(a) == 0:
                 continue
-            if any(r(a) == 0 for nf in (nf1, nf2) for r, _ in nf.corrections):
+            if not nf1.locus(a) or not nf2.locus(a):
                 continue
             return PointWitness(a, nf1.value_at(a), nf2.value_at(a))
         k += 1
@@ -113,13 +117,12 @@ def simple_fraction(nf: NF) -> Term | None:
     """A simple fraction equal to the rational-model normal form nf, or
     None.  It exists iff every exceptional value of nf is 0, since a simple
     fraction is discontinuous only at zeros of its denominator, where it is
-    0; then the base times the support product of the exception points
-    realizes it."""
-    if any(not s.is_zero() for _, s in nf.corrections):
+    0; then the base times the locus (the product of the exception points'
+    linear factors) realizes it."""
+    if not nf.residue.is_zero():
         return None
-    w = build_indicator(r for r, _ in nf.corrections).locus
-    num = nf.num * w
-    den = nf.den * w
+    num = nf.num * nf.locus
+    den = nf.den * nf.locus
     scale = num.content.denominator  # the lcm of num's coefficient denominators
     return Div(_coeff_poly_term(num.scale(scale).int_coeffs(), 1),
                _coeff_poly_term(den.scale(scale).int_coeffs(), 1))
@@ -148,14 +151,14 @@ def finite_support_sum(t: Term, model: Model) -> SupportSum:
 
     With a nonzero reduced base the function is nonzero outside a finite
     set, so the support is infinite.  With a zero base the support lies on
-    the correction loci: the sum is the trace-sum of each correction
-    residue over its locus's roots.
+    the correction locus: the sum is the trace sum of the residue over the
+    locus's roots.
     """
     nf = normalize(t, model)
     if not nf.num.is_zero():
         return SupportSum(Fraction(0), False)
-    total = sum((trace_sum(s, r) for r, s in nf.corrections), Fraction(0))
-    return SupportSum(total, True)
+    return SupportSum(trace_sum(nf.residue, nf.locus) if nf.locus != P_ONE
+                      else Fraction(0), True)
 
 
 def sum_star_equals(t: Term, c: Term, model: Model) -> bool:

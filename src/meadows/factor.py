@@ -8,9 +8,9 @@ recombine modular factors by trial division.  Every returned factor is
 irreducible over Q, primitive with integer coefficients and positive
 leading coefficient.  The modular and integer steps run on the integer
 kernel of ``meadows.poly`` (coefficient lists over Z or Z/m), the same
-one the polynomial arithmetic uses.  Results are cached on the primitive
-polynomial, in caches of CACHE_SIZE entries each, since the normal-form
-layer factors the same denominators repeatedly.
+one the polynomial arithmetic uses.  Results are cached on the squarefree
+part (itself memoized in ``meadows.poly``), in caches of CACHE_SIZE
+entries each, since the same polynomials are factored repeatedly.
 """
 
 from __future__ import annotations
@@ -22,22 +22,9 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 from .ints import odd_primes_from
-from .poly import (
-    P_ONE,
-    P_X,
-    Poly,
-    squarefree_part,
-    zx_add,
-    zx_divmod,
-    zx_mul,
-    zx_primitive,
-    zx_sub,
-    zx_trim,
-)
+from .poly import (CACHE_SIZE, P_ONE, P_X, Poly, squarefree_part, zx_add, zx_divmod,
+                   zx_mul, zx_primitive, zx_sub, zx_trim)
 from .rationals import Rat
-
-# Entries kept by each of the three factorization caches.
-CACHE_SIZE = 512
 
 
 class FactorizationError(RuntimeError):
@@ -101,15 +88,7 @@ def distinct_irreducible_factors(p: Poly) -> tuple[Poly, ...]:
         raise ValueError("cannot factor the zero polynomial")
     if p.is_constant():
         return ()
-    return _distinct_factors_of_primitive(p.primitive())
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _distinct_factors_of_primitive(prim: Poly) -> tuple[Poly, ...]:
-    sf = squarefree_part(prim)
-    if sf.is_constant():
-        return ()
-    return _squarefree_factors_cached(sf)
+    return _squarefree_factors_cached(squarefree_part(p))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -317,6 +296,12 @@ def _zassenhaus_monic(coeffs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         modulus *= modulus
     lifted = _hensel_lift_tree(f, mods, p, modulus)
 
+    # Recombination.  A subset is multiplied out only when two tests on its
+    # lifted factors pass (Abbott, Shoup & Zimmermann, ISSAC 2000): the
+    # product of their constant terms divides that of what remains, and the
+    # sum of their x^(d-1) coefficients, minus a sum of d <= n roots, is at
+    # most n times the Cauchy bound 1 + max |f_i| on a root.
+    trace_bound = n * (1 + max(abs(c) for c in f[:-1]))
     result: list[tuple[int, ...]] = []
     remaining = f
     idxs = list(range(len(lifted)))
@@ -326,6 +311,12 @@ def _zassenhaus_monic(coeffs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         while found:
             found = False
             for combo in itertools.combinations(idxs, size):
+                tc = _symmetric([math.prod(lifted[i][0] for i in combo)], modulus)
+                if not tc or remaining[0] % tc[0]:
+                    continue
+                trace = _symmetric([sum(lifted[i][-2] for i in combo)], modulus)
+                if trace and abs(trace[0]) > trace_bound:
+                    continue
                 cand = _symmetric(reduce(lambda u, v: zx_mul(u, v, modulus),
                                          (lifted[i] for i in combo)), modulus)
                 quo, rem = _monic_divmod(remaining, cand)

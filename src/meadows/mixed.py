@@ -2,31 +2,25 @@
 
 A mixed fraction is a standardized polynomial (integer numerators over one
 common denominator) plus a simple fraction whose numerator and denominator
-are integer-coefficient polynomials.  Emission rebuilds a term of exactly
-that shape from a normal form, the same way in both models:
+are integer-coefficient polynomials.  Emission builds a term of exactly
+that shape from a normal form, the same way in both models: with E the
+support (``NF.support``) and R the locus, the patch polynomial g is the CRT
+of the residue S modulo R and 0 modulo E/R; the fraction part carries E so
+that it vanishes exactly on the support; and the polynomial's common
+denominator l (times a further integer L when rational coefficients
+remain) clears the fraction to integer coefficients.  Over linear loci g
+is Lagrange interpolation.
 
-* collect the support: the correction loci together with the loci of the
-  reduced denominator (its linear factors over Q, all irreducible factors
-  over C);
-* build the patch polynomial g with the term's residue on every support
-  locus from one master product E of the support: each locus r with target
-  v contributes h_r * (v * h_r^{-1} mod r) with h_r = E / r.  Over linear
-  loci this is Lagrange interpolation in barycentric form;
-* attach E so the fraction part vanishes exactly on the support, and scale
-  by the polynomial's common denominator l (and a further integer L when
-  rational coefficients remain) to reach integer coefficients.
-
-The integer scalings performed are recorded multiplicatively in
-``witness_n = l * L``: multiplying numerator and denominator of a fraction
-by a positive integer n is justified by the single cancellation n/n = 1, so
-the emitted equality holds in every meadow of characteristic zero in which
-n is cancellable.
+The integer scalings are recorded in ``witness_n = l * L``: multiplying
+numerator and denominator of a fraction by a positive integer n is
+justified by the single cancellation n/n = 1, so the emitted equality holds
+in every meadow of characteristic zero in which n is cancellable.
 
 ``emit(nf, check=True)`` certifies its output instead of normalizing it
-again: the rendered term reads back as polynomials P + N/D, and three
-exact polynomial identities against num/den and the support prove that it
-takes the normal form's value everywhere on the model's carrier (see
-``certify``).  Nothing is factored or normalized anew.
+again: exact polynomial identities prove that the rendered term takes the
+normal form's value everywhere on the model's carrier (``certify``).
+Nothing is factored, except for the per-locus diagnostics
+``MixedFraction.targets``.
 """
 
 from __future__ import annotations
@@ -36,15 +30,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 
-from .factor import _order_key
-from .normalform import (
-    Model,
-    NF,
-    candidate_loci,
-    normalize,
-    quotient_inv,
-    root,
-)
+from .factor import distinct_irreducible_factors
+from .normalform import NF, Model, crt, normalize, quotient_inv, root
 from .poly import P_ONE, P_X, P_ZERO, Poly, StdPoly, poly_sum, standardize
 from .rationals import Rat
 from .terms import (
@@ -74,9 +61,6 @@ class IndicatorFraction:
     def to_term(self) -> Term:
         locus_term = _coeff_poly_term(self.locus.int_coeffs(), 1)
         return Add(ONE, Neg(Div(locus_term, locus_term)))
-
-    def value_at(self, a: Rat) -> Fraction:
-        return Fraction(1) if self.locus(a) == 0 else Fraction(0)
 
 
 def build_indicator(items) -> IndicatorFraction:
@@ -122,16 +106,16 @@ class MixedFraction:
 
     ``witness_n`` is positive and divisible by the polynomial part's common
     denominator; it records every integer scaling used, so n/n = 1 suffices
-    to justify the transformation equationally.  ``targets`` carries the
-    emission diagnostics and does not take part in equality.  ``term`` is
-    the rendering (``to_term``), built once on first read.
+    to justify the transformation equationally.  ``source`` (the normal
+    form and support emitted from) takes no part in equality.  ``term``
+    (``to_term``) and ``targets`` are built on first read.
     """
 
     poly: StdPoly
     frac_num: Poly
     frac_den: Poly
     witness_n: int
-    targets: tuple = field(default=(), compare=False, repr=False)
+    source: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         if self.frac_den.is_zero():
@@ -144,6 +128,11 @@ class MixedFraction:
     def term(self) -> Term:
         return to_term(self)
 
+    @cached_property
+    def targets(self) -> tuple:
+        """Emission diagnostics; factors the support."""
+        return _targets(*self.source) if self.source else ()
+
 
 class EmissionError(AssertionError):
     """The emitted mixed fraction failed its certificate: its rendering
@@ -151,70 +140,51 @@ class EmissionError(AssertionError):
     the identities that prove it equal to the normal form fails."""
 
 
-def _emit_from_parts(
-    nf: NF, g: Poly, support_locus: Poly, targets: tuple
-) -> MixedFraction:
+def _emit_from_parts(nf: NF, g: Poly, support: Poly) -> MixedFraction:
     std = standardize(g)
     l = std.denominator
     g_int = g.scale(l)  # integer coefficients
-    fn = nf.num * support_locus.scale(l) - nf.den * (support_locus * g_int)
-    fd = (nf.den * support_locus).scale(l)
+    fn = nf.num * support.scale(l) - nf.den * (support * g_int)
+    fd = (nf.den * support).scale(l)
     scale = fn.content.denominator  # the lcm of fn's coefficient denominators
-    return MixedFraction(std, fn.scale(scale), fd.scale(scale), l * scale, targets)
+    return MixedFraction(std, fn.scale(scale), fd.scale(scale), l * scale,
+                         (nf, support))
 
 
-def _targets(model: Model, loci, values, coefficients) -> tuple:
-    """Emission diagnostics: one LocusTarget per support locus over C;
-    over Q one PointTarget per point, sorted by point, whose weight is the
-    coefficient of the monic node product prod_{j != i} (x - a_j)."""
-    if model is Model.COMPLEX:
-        return tuple(
-            LocusTarget(r, values.get(r, P_ZERO), c) for r, c in zip(loci, coefficients)
-        )
-    leads = Fraction(1)
-    for r in loci:
-        leads *= r.lead
-    return tuple(sorted(
-        (PointTarget(root(r), values.get(r, P_ZERO).coeff(0),
-                     c.coeff(0) * leads / r.lead)
-         for r, c in zip(loci, coefficients)),
-        key=lambda t: t.point,
-    ))
+def _targets(nf: NF, support: Poly) -> tuple:
+    """Per-locus view of an emission: each irreducible factor r of the
+    support E, its target v (the residue on the locus, else 0) and the
+    coefficient v * (E/r)^{-1} mod r of E/r in the patch polynomial.  Over
+    C one LocusTarget per locus; over Q one PointTarget per point, sorted,
+    weighted for the monic node product prod_{j != i} (x - a_j)."""
+    loci = distinct_irreducible_factors(support)
+    values = [nf.residue % r if (nf.locus % r).is_zero() else P_ZERO for r in loci]
+    coefficients = [(v * quotient_inv(support.exact_div(r) % r, r)) % r
+                    if v else P_ZERO for r, v in zip(loci, values)]
+    if nf.model is Model.COMPLEX:
+        return tuple(LocusTarget(*t) for t in zip(loci, values, coefficients))
+    leads = reduce(operator.mul, (r.lead for r in loci), Fraction(1))
+    return tuple(sorted((PointTarget(root(r), v.coeff(0), c.coeff(0) * leads / r.lead)
+                         for r, v, c in zip(loci, values, coefficients)),
+                        key=lambda t: t.point))
 
 
 def emit(nf: NF, check: bool = False) -> MixedFraction:
     """Mixed fraction semantically equal to nf on its model's meadow.
 
-    The support is the correction loci together with the candidate loci of
-    the denominator; targets are the stored residues and 0 on uncorrected
-    loci.  With E the product of the support, the patch polynomial receives
-    h_r * (v * h_r^{-1} mod r) for each locus r with target v, where
-    h_r = E / r is invertible modulo r since distinct irreducibles share
-    no roots; the sum then has residue v on every locus.  The fraction part
+    The patch polynomial g is S modulo R and 0 modulo E/R, which divides
+    den, where the base is 0 too.  The fraction part
     (num*E*l - den*E*(l*g)) / (den*E*l) restores the reduced base off the
     support while vanishing on it.  With ``check`` the rendered output is
     certified (``certify``) and EmissionError raised if it fails.
     """
-    if nf.den == P_ONE and not nf.corrections:  # a polynomial
+    support = nf.support
+    if nf.den == P_ONE and support == P_ONE:  # a polynomial
         std = standardize(nf.num)
-        mf = MixedFraction(std, P_ZERO, P_ONE, std.denominator, ())
+        mf = MixedFraction(std, P_ZERO, P_ONE, std.denominator)
     else:
-        values = dict(nf.corrections)
-        loci = sorted(values.keys() | set(candidate_loci(nf.model, nf.den)),
-                      key=_order_key)
-        e = reduce(operator.mul, loci, P_ONE)
-        g = P_ZERO
-        coefficients = []
-        for r in loci:
-            v = values.get(r, P_ZERO)
-            coeff = P_ZERO
-            if not v.is_zero():
-                h = e.exact_div(r)
-                coeff = (v * quotient_inv(h % r, r)) % r
-                g = g + h * coeff
-            coefficients.append(coeff)
-        targets = _targets(nf.model, loci, values, coefficients)
-        mf = _emit_from_parts(nf, g, e, targets)
+        g = crt(nf.residue, nf.locus, P_ZERO, support.exact_div(nf.locus))
+        mf = _emit_from_parts(nf, g, support)
     if check:
         certify(nf, mf)
     return mf
@@ -240,47 +210,41 @@ def certify(nf: NF, mf: MixedFraction) -> None:
 
     The rendering ``mf.term`` must read back as P + N/D with polynomials
     P, N and D (divisions inside a part by constants only), so rendering
-    is covered.
-    Let E be the product of the support: the correction loci and the
-    candidate loci of den, distinct irreducibles, so no two share a root.
-    The certificate is three exact identities:
+    is covered.  Let S be the residue of nf on its locus R, E the support
+    and A = E/R, which divides the candidate part of den and is coprime to
+    R.  The certificate is three exact identities:
 
       (a) (P*D + N) * den = num * D;
       (b) D = c * den * E for a nonzero rational c;
-      (c) P mod r is the target on every support locus r: the correction
-          residue, or 0 on an uncorrected locus (which divides den).
+      (c) (P - S)*A + P*R = 0 modulo E, that is P = S modulo R and P = 0
+          modulo A (modulo either factor one term vanishes and the other
+          factor is a unit).
 
     Soundness at a point a of the carrier.  If D(a) != 0, then by (b)
-    den(a) != 0 and a is on no support locus, so nf takes num(a)/den(a)
-    there, and by (a) so does P(a) + N(a)/D(a).  If D(a) = 0, the term
-    takes P(a), as N/D is 0 there in a meadow, and by (b) a is a root of
-    den or of E.  A root of den lies on an irreducible factor of den.
-    Over C every such factor is a candidate locus; over Q only rational
-    roots matter, and the factor of a rational root is linear, so again a
-    candidate locus.  So a lies on exactly one support locus r, and by (c)
-    P(a) is the target there: the correction value, or 0 on an
-    uncorrected locus, where nf takes num(a)/den(a) with den(a) = 0,
-    which is 0.
-
-    Nothing is normalized, and nothing is factored anew: candidate_loci
-    repeats the call emit made on the same den and hits the factor cache.
+    den(a) != 0 and E(a) != 0, so nf takes num(a)/den(a), and by (a) so
+    does P(a) + N(a)/D(a).  If D(a) = 0, the term takes P(a), as N/D is 0
+    there in a meadow, and by (b) a is a root of den, which lies on the
+    candidate part (over Q a rational root is on a linear factor), or of
+    E: either way of exactly one of R and A.  On R, P(a) = S(a) by (c),
+    the value of nf; on A, P(a) = 0 by (c), and nf takes num(a)/den(a)
+    with den(a) = 0, which is 0.  Nothing is normalized or factored.
     """
     match mf.term:
         case Add(left=poly_part, right=Div(num=num_part, den=den_part)):
             p, n, d = (_read_back(u) for u in (poly_part, num_part, den_part))
         case _:
             raise EmissionError("rendering is not a polynomial plus a fraction")
-    targets = dict(nf.corrections)
-    support = targets.keys() | set(candidate_loci(nf.model, nf.den))
+    support = nf.support
     # (b): D and den*E are constant multiples exactly when their primitive
     # integer parts agree.
-    if d.ints != (nf.den * reduce(operator.mul, support, P_ONE)).ints:
+    if d.ints != (nf.den * support).ints:
         raise EmissionError("fraction denominator is not den times the support")
     if (p * d + n) * nf.den != nf.num * d:
         raise EmissionError("emitted fraction differs from num/den off the support")
-    for r in support:
-        if p % r != targets.get(r, P_ZERO):
-            raise EmissionError(f"polynomial part misses its target on {r}")
+    if support != P_ONE:
+        rest = support.exact_div(nf.locus)
+        if not (((p - nf.residue) * rest + p * nf.locus) % support).is_zero():
+            raise EmissionError("polynomial part misses its target on the support")
 
 
 def emit_with_witness(t: Term) -> tuple[MixedFraction, int]:

@@ -2,26 +2,28 @@
 
 A term denotes a function on the rational or complex meadow (division is
 total with x/0 = 0).  Its normal form ``NF`` is a reduced rational function
-num/den together with finitely many corrections recording where the term's
-value departs from the reduced fraction.  A correction (r, s) pairs an
-irreducible locus r with a residue s in Q[x]/(r): on every root of r the
-term takes the value of s there.
+num/den plus one correction: a primitive squarefree locus R in Z[x] and a
+residue S in Q[x]/(R).  On every root of R the term takes the value of S
+there; elsewhere it takes num/den, which is 0 where den vanishes.
 
-The two models differ only in which irreducible factors of a denominator
-become candidate loci: all of them over C, the linear ones over Q.  A
-rational point a is the root of a linear locus, and a residue modulo a
-linear locus is the constant value at that root, so the rational model's
-exceptional points are its linear corrections (the ``exceptions`` view).
+For squarefree R the ring Q[x]/(R) is a product of fields, hence von
+Neumann regular and itself a meadow: the inverse of a residue a is 0 on the
+roots of gcd(a, R) and a^{-1} on the others (``quotient_inv``).  So one
+residue modulo one R carries every correction, and normalization never
+splits R into irreducibles (D5 dynamic evaluation, Della Dora, Dicrescenzo
+& Duval, EUROCAL 1985).  The models differ only in ``NF.support``.
 
 The form is canonical: the base is reduced with a primitive, positive-
-leading denominator, corrections are minimal (never equal to the value the
-base already gives) and ordered by locus degree then coefficients, so
-structural equality coincides with semantic equality.  Normalization
-interprets the term (``terms.interpret``) over polynomials and normal
-forms: division-free subterms stay ``Poly`` values (x^k is a chain of
-monomial shifts), a value becomes an ``NF`` only when a division reaches
-it, a whole sum or product chain is one operation, and no step recurses,
-so terms of any depth normalize.  Each Bezout inverse in Q[x]/(r) is
+leading denominator, R holds exactly the points where the value differs
+from the base's (``_make``) and deg S < deg R, so structural equality
+coincides with semantic equality.  The per-locus views ``corrections`` and
+``exceptions`` factor R on first read; only output and the checks use them.
+
+Normalization interprets the term (``terms.interpret``) over polynomials
+and normal forms: division-free subterms stay ``Poly`` values (x^k is a
+chain of monomial shifts), a value becomes an ``NF`` only when a division
+reaches it, a whole sum or product chain is one operation, and no step
+recurses, so terms of any depth normalize.  Each quotient-ring inverse is
 computed once per process, in a bounded cache like the factor caches.
 """
 
@@ -31,10 +33,11 @@ import enum
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
-from .factor import CACHE_SIZE, _order_key, distinct_irreducible_factors
-from .poly import P_ONE, P_X, P_ZERO, Poly, poly_bezout, poly_gcd, poly_sum
+from .factor import CACHE_SIZE, distinct_irreducible_factors
+from .poly import (P_ONE, P_X, P_ZERO, Poly, poly_bezout, poly_gcd, poly_sum,
+                   squarefree_part)
 from .rationals import Rat, eval_closed, eval_term, meadow_div
 from .terms import Term, interpret
 
@@ -44,18 +47,6 @@ class Model(enum.Enum):
 
     RAT = "q"
     COMPLEX = "c"
-
-
-class LocusMustSplitError(ValueError):
-    """Quotient-ring evaluation met a zero divisor: the modulus is not
-    irreducible and must be split into its factors."""
-
-    def __init__(self, locus: Poly, divisor: Poly):
-        super().__init__(
-            f"locus must be split: {locus} shares factor {divisor} with a residue"
-        )
-        self.locus = locus
-        self.divisor = divisor
 
 
 def _reduce(num: Poly, den: Poly) -> tuple[Poly, Poly]:
@@ -72,58 +63,95 @@ def _reduce(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     return num.scale(1 / den.content), den.primitive()
 
 
+def _gcd(a: Poly, b: Poly) -> Poly:
+    """The gcd in primitive form, the form of every locus and modulus."""
+    return poly_gcd(a, b).primitive()
+
+
+def _quo(a: Poly, b: Poly) -> Poly:
+    """Primitive part of the exact quotient a / b, for primitive a."""
+    if b.is_constant():
+        return a
+    return P_ONE if a == b else a.exact_div(b).primitive()
+
+
 def root(locus: Poly) -> Rat:
     """The rational point at which a linear locus vanishes."""
     return Fraction(-locus.ints[0], locus.ints[1])
 
 
-def candidate_loci(model: Model, den: Poly) -> tuple[Poly, ...]:
-    """Irreducible factors of den that the model tracks as loci, in
-    canonical order: all of them over C, the linear ones over Q."""
-    if den == P_ONE:
-        return ()
-    loci = distinct_irreducible_factors(den)
-    if model is Model.RAT:
-        return tuple(r for r in loci if r.degree == 1)
-    return loci
+def crt(a: Poly, m: Poly, b: Poly, n: Poly) -> Poly:
+    """The residue modulo m*n that is a mod m and b mod n, for coprime m, n:
+    the lower-degree modulus is inverted modulo the other, never mod m*n."""
+    if n.is_constant():
+        return a
+    if m.is_constant():
+        return b
+    if m.degree < n.degree:
+        a, m, b, n = b, n, a, m
+    d = (a - b) % m
+    return b if d.is_zero() else b + n * ((d * quotient_inv(n % m, m)) % m)
 
 
 @dataclass(frozen=True)
 class NF:
-    """Reduced rational function plus corrections on irreducible loci.
+    """Reduced rational function plus one correction on a squarefree locus.
 
-    Each correction (r, s) states that on every root of r the term takes
-    the value of s there, with deg s < deg r; the loci are irreducible over
-    Q, primitive with positive leading coefficient, pairwise distinct,
-    minimal against the base and ordered by degree then coefficients.  Over
-    Q every locus is linear.  Off all loci the value is num/den with zero
-    denominators mapping to 0.
+    On every root of ``locus`` the term takes the value of ``residue``
+    there, deg residue < deg locus.  The locus is primitive with positive
+    lead, squarefree and minimal: at none of its roots is the residue the
+    base's value.  Off the locus the value is num/den, with zero
+    denominators mapping to 0.  Without corrections the locus is 1 and the
+    residue 0.
     """
 
     model: Model
     num: Poly
     den: Poly
-    corrections: tuple[tuple[Poly, Poly], ...]
+    locus: Poly = P_ONE
+    residue: Poly = P_ZERO
 
-    def generic_mod(self, r: Poly) -> Poly:
-        """Residue modulo r of the base alone (0 where r divides den)."""
-        d = self.den % r
-        if d.is_zero():
+    def generic_mod(self, m: Poly) -> Poly:
+        """Residue of the base alone modulo the squarefree m (0 at den's roots)."""
+        if m.is_constant():
             return P_ZERO
-        return (self.num % r * quotient_inv(d, r)) % r
+        if self.den.is_constant():
+            return self.num % m
+        return (self.num % m * quotient_inv(self.den % m, m)) % m
 
-    def value_mod(self, r: Poly) -> Poly:
-        for locus, s in self.corrections:
-            if locus == r:
-                return s
-        return self.generic_mod(r)
+    def value_mod(self, m: Poly) -> Poly:
+        """Residue of the function modulo m, a squarefree multiple of the
+        locus: the residue on the locus, the base on the rest."""
+        rest = _quo(m, self.locus)
+        return crt(self.residue, self.locus, self.generic_mod(rest), rest)
 
     def value_at(self, a: Rat) -> Rat:
         a = Fraction(a)
-        for locus, s in self.corrections:
-            if locus(a) == 0:
-                return s(a)
+        if not self.locus(a):
+            return self.residue(a)
         return meadow_div(self.num(a), self.den(a))
+
+    @property
+    def support(self) -> Poly:
+        """lcm of the locus and the candidate part of den: every point
+        where the value may differ from num/den.  The one place the model
+        is consulted: the candidate part is the squarefree part of den over
+        C (no factoring), its linear factors off the locus over Q."""
+        if self.den.is_constant():
+            return self.locus
+        rest = self.den if self.den.degree == 1 else squarefree_part(self.den)
+        rest = _quo(rest, _gcd(rest, self.locus))
+        if self.model is Model.RAT and rest.degree > 1:
+            rest = reduce(operator.mul, (r for r in distinct_irreducible_factors(rest)
+                                         if r.degree == 1), P_ONE)
+        return self.locus * rest
+
+    @cached_property
+    def corrections(self) -> tuple[tuple[Poly, Poly], ...]:
+        """Per-locus view: (r, residue mod r) for each irreducible factor r
+        of the locus, ordered by degree then coefficients."""
+        return tuple((r, self.residue % r)
+                     for r in distinct_irreducible_factors(self.locus))
 
     @property
     def exceptions(self) -> tuple[tuple[Rat, Rat], ...]:
@@ -153,36 +181,48 @@ class NF:
         return out
 
 
-def _make(model: Model, num: Poly, den: Poly, candidates: dict[Poly, Poly]) -> NF:
-    base = NF(model, *_reduce(num, den), ())
-    kept = tuple(
-        (r, candidates[r])
-        for r in sorted(candidates, key=_order_key)
-        if candidates[r] != base.generic_mod(r)
-    )
-    return NF(model, base.num, base.den, kept)
+def _make(model: Model, num: Poly, den: Poly, modulus: Poly, values: Poly) -> NF:
+    """Normal form of the function that is num/den off the squarefree
+    modulus and the residue ``values`` on it.  The reduced base is 0 on
+    r0 = gcd(modulus, den) and num/den on r1 = modulus/r0; the locus keeps
+    the roots of each where values differs from that."""
+    base = NF(model, *_reduce(num, den))
+    r0 = _gcd(modulus, base.den)
+    r1 = _quo(modulus, r0)
+    locus = P_ONE
+    if not r0.is_constant():
+        locus = _quo(r0, _gcd(r0, values))
+    if not r1.is_constant():
+        locus = locus * _quo(r1, _gcd(r1, values - base.generic_mod(r1)))
+    if locus.is_constant():
+        return base
+    return NF(model, base.num, base.den, locus, values % locus)
 
 
 def quotient_inv(a: Poly, modulus: Poly) -> Poly:
-    """Meadow inverse in Q[x]/(modulus): 0 maps to 0, a nonzero constant
-    to its rational inverse, anything else to its Bezout inverse.  Detects
-    reducible moduli via a nonunit gcd."""
+    """Meadow inverse of the residue a in Q[x]/(modulus), modulus
+    squarefree: 0 on the roots of g = gcd(a, modulus) and a^{-1}, taken
+    modulo modulus/g, on the others.  A constant inverts as a rational."""
     if a.is_zero():
         return P_ZERO
     if a.is_constant():
         return Poly.constant(1 / a.content)
-    return _bezout_inverse(a, modulus)
+    s = _bezout_inverse(a, modulus)
+    if s is not None:
+        return s
+    g = _gcd(a, modulus)
+    unit = _quo(modulus, g)
+    return crt(quotient_inv(a % unit, unit), unit, P_ZERO, g)
 
 
 # Only nonconstant residues are memoized: the constant ones (every residue
-# modulo a linear locus) need no Bezout and would only crowd the cache.
-# A reducible modulus raises on every call, as exceptions are not cached.
+# modulo a linear locus) need no Bezout and would only crowd the cache.  A
+# residue that shares a factor with the modulus is cached as None.
 @lru_cache(maxsize=CACHE_SIZE)
-def _bezout_inverse(a: Poly, modulus: Poly) -> Poly:
-    g, _, vp = poly_bezout(a, modulus)
-    if g != P_ONE:
-        raise LocusMustSplitError(modulus, g)
-    return vp % modulus
+def _bezout_inverse(a: Poly, modulus: Poly) -> Poly | None:
+    if not poly_gcd(a, modulus).is_constant():
+        return None
+    return poly_bezout(a, modulus)[2] % modulus
 
 
 # ---------------------------------------------------------------------------
@@ -190,32 +230,30 @@ def _bezout_inverse(a: Poly, modulus: Poly) -> Poly:
 
 
 def nf_neg(a: NF) -> NF:
-    return NF(a.model, -a.num, a.den, tuple((r, -s) for r, s in a.corrections))
+    return NF(a.model, -a.num, a.den, a.locus, -a.residue)
 
 
 def _combine(values: tuple[NF | Poly, ...], op, unit: Poly, base) -> NF:
     """Sum or product (op, with neutral element unit) of normal forms and
-    polynomials, at least one of them a normal form.  The polynomials
-    merge into one first; ``base`` gives the unreduced num/den of all
-    operands, reduced once.  Every root of the reduced denominator is a
-    root of some operand denominator, so the operands' loci are the only
-    candidates."""
+    polynomials, at least one a normal form.  The polynomials merge into
+    one first; ``base`` gives the unreduced num/den of all operands.  Every
+    point that may need a correction is a root of the lcm of the operands'
+    supports, where the result is the op of the operands' residues."""
     rest = [v for v in values if type(v) is NF]
     model = rest[0].model
     if any(nf.model is not model for nf in rest):
         raise TypeError("cannot combine normal forms of different models")
     p = reduce(op, (v for v in values if type(v) is Poly), unit)
     if p != unit:
-        rest.append(NF(model, p, P_ONE, ()))
+        rest.append(NF(model, p, P_ONE))
     if len(rest) == 1:
         return rest[0]
-    loci: set[Poly] = set()
-    for nf in rest:
-        loci.update(r for r, _ in nf.corrections)
-        loci.update(candidate_loci(model, nf.den))
-    cands = {r: reduce(lambda s, nf: op(s, nf.value_mod(r)) % r, rest, unit)
-             for r in loci}
-    return _make(model, *base(rest), cands)
+    modulus = P_ONE
+    for m in {nf.support for nf in rest}:
+        modulus = m if modulus.is_constant() else modulus * _quo(m, _gcd(modulus, m))
+    residue = reduce(lambda s, nf: op(s, nf.value_mod(modulus)) % modulus,
+                     rest, unit)
+    return _make(model, *base(rest), modulus, residue)
 
 
 def _sum_base(nfs: list[NF]) -> tuple[Poly, Poly]:
@@ -245,17 +283,15 @@ def nf_mul(*values: NF | Poly) -> NF:
 
 
 def nf_inv(a: NF) -> NF:
-    """Meadow inverse of a normal form.
-
-    The base swaps to den/num (0/1 when num is zero) and every stored
-    correction value is inverted in place.  No new exceptional loci can
-    appear: at an uncorrected root of den both the old value and the new
-    generic value are 0, and symmetrically at roots of num.
-    """
-    cands = {r: quotient_inv(s, r) for r, s in a.corrections}
+    """Meadow inverse of a normal form: the base swaps to den/num (0/1 when
+    num is zero) and the residue is inverted in Q[x]/(locus).  No new
+    exceptional point appears: at an uncorrected root of den both the old
+    value and the new generic value are 0, and symmetrically at roots of
+    num."""
+    inverse = quotient_inv(a.residue, a.locus)
     if a.num.is_zero():
-        return _make(a.model, P_ZERO, P_ONE, cands)
-    return _make(a.model, a.den, a.num, cands)
+        return _make(a.model, P_ZERO, P_ONE, a.locus, inverse)
+    return _make(a.model, a.den, a.num, a.locus, inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +299,11 @@ def nf_inv(a: NF) -> NF:
 
 
 def eval_term_mod(t: Term, r: Poly) -> Poly:
-    """Residue of a term in Q[x]/(r) for irreducible r: the polynomial s
-    with deg s < deg r whose value at every root of r equals the term's
-    value there.  Division inside the term inverts through the Bezout
-    identity, with the zero residue inverting to zero.  Raises
-    LocusMustSplitError when a zero divisor reveals r to be reducible."""
-    if r.is_constant():
-        raise ValueError("modulus must be nonconstant")
+    """Residue of a term in Q[x]/(r) for squarefree r: the s with deg s <
+    deg r that takes the term's value at every root of r.  Division takes
+    the meadow inverse of the quotient ring (``quotient_inv``)."""
+    if r.is_constant() or squarefree_part(r).degree != r.degree:
+        raise ValueError("modulus must be nonconstant and squarefree")
     return interpret(t, lambda n: Poly.constant(n) % r, lambda: P_X % r,
                      operator.neg, lambda *v: poly_sum(*v) % r,
                      lambda *v: reduce(lambda a, b: (a * b) % r, v),
@@ -305,14 +339,13 @@ def normalize(t: Term, model: Model) -> NF:
             return nf_inv(v)
         if v.is_constant():
             return Poly.constant(1 / v.content) if v else P_ZERO
-        return nf_inv(NF(model, v, P_ONE, ()))
+        return nf_inv(NF(model, v, P_ONE))
 
     out = interpret(t, Poly.constant, lambda: P_X, neg, add, mul, inv)
-    return out if type(out) is NF else NF(model, out, P_ONE, ())
+    return out if type(out) is NF else NF(model, out, P_ONE)
 
 
 __all__ = [
-    "LocusMustSplitError",
     "Model",
     "NF",
     "eval_closed",

@@ -26,11 +26,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .ints import divisors
 from .rationals import Rat
 
 NEG_INFINITY = float("-inf")
+
+CACHE_SIZE = 512  # entries kept by each memo of the package
 
 
 # ---------------------------------------------------------------------------
@@ -85,10 +88,10 @@ def zx_divmod(a, b, m: int | None = None) -> tuple[list[int], list[int], int]:
     inv = None if m is None else pow(lb, -1, m)
     quo = [0] * (len(a) - db)
     s = 1
+    # Modulo m the remainder is reduced once at the end; only each leading
+    # coefficient is reduced as it is used.
     for i in range(len(a) - db - 1, -1, -1):
         c = rem[i + db]
-        if not c:
-            continue
         if m is not None:
             c = c * inv % m
         elif c % lb:
@@ -100,13 +103,13 @@ def zx_divmod(a, b, m: int | None = None) -> tuple[list[int], list[int], int]:
             c = c * f // lb
         else:
             c //= lb
+        if not c:
+            continue
         quo[i] = c
         for j, bj in enumerate(b):
             rem[i + j] -= c * bj
-        if m is not None:
-            for j in range(i, i + db + 1):
-                rem[j] %= m
-    return zx_trim(quo), zx_trim(rem[:db]), s
+    rem = rem[:db] if m is None else [c % m for c in rem[:db]]
+    return zx_trim(quo), zx_trim(rem), s
 
 
 def zx_primitive(a: list[int], m: int | None = None) -> list[int]:
@@ -142,6 +145,8 @@ class Poly:
 
     @staticmethod
     def constant(c) -> "Poly":
+        if type(c) is int:
+            return _int_constant(c)
         c = Fraction(c)
         return _poly(c, (1,)) if c else P_ZERO
 
@@ -379,6 +384,12 @@ def _scaled(nums: list[int], num: int, den: int) -> Poly:
     return _poly(Fraction(num * (nums[-1] // prim[-1]), den), tuple(prim))
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _int_constant(n: int) -> Poly:
+    """One shared Poly per integer, such as each integer leaf of a term."""
+    return _poly(Fraction(n), (1,)) if n else P_ZERO
+
+
 P_ZERO = _poly(Fraction(0), ())
 P_ONE = Poly.constant(1)
 P_X = Poly.x()
@@ -471,13 +482,15 @@ def rational_roots(p: Poly) -> set[Rat]:
     return roots
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def squarefree_part(p: Poly) -> Poly:
     """p divided by gcd(p, p'), made primitive with positive leading
-    coefficient: same roots as p, all with multiplicity one."""
+    coefficient: same roots as p, all with multiplicity one.  Memoized:
+    normal forms, trace sums and factoring ask for the same ones."""
     if p.is_zero():
         raise ValueError("zero polynomial has no squarefree part")
     g = poly_gcd(p, p.derivative())
-    return p.exact_div(g).primitive()
+    return p.primitive() if g == P_ONE else p.exact_div(g).primitive()
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +652,7 @@ def trace_sum(s: Poly, r: Poly) -> Rat:
     """
     if r.is_zero() or r.is_constant():
         raise ValueError("root sum needs a nonconstant polynomial")
-    if poly_gcd(r, r.derivative()) != P_ONE:
+    if squarefree_part(r).degree != r.degree:
         raise ValueError("polynomial must be squarefree")
     s = s % r
     if s.is_zero():

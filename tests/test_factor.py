@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from meadows import factor
 from meadows.checks import check_factor_reconstruction
 from meadows.factor import (
     Factorization,
@@ -14,8 +15,8 @@ from meadows.factor import (
 )
 from meadows.generate import random_int_poly
 from meadows.ints import divisors
-from meadows.normalform import Model, candidate_loci, root
-from meadows.poly import Poly, lagrange_interpolate
+from meadows.normalform import NF, Model, root
+from meadows.poly import P_ONE, Poly, lagrange_interpolate
 
 X = Poly((0, 1))
 
@@ -169,9 +170,10 @@ def test_random_factors_are_irreducible_by_brute_force():
 
 def test_roots_from_factors_matches_linear_factors():
     p = Poly((-5, 7, 6)) * Poly((1, 0, 1))
-    assert candidate_loci(Model.RAT, p) == (Poly((-1, 2)), Poly((5, 3)))
-    assert {root(r) for r in candidate_loci(Model.RAT, p)} == {
-        Fraction(1, 2), Fraction(-5, 3)}
+    linear = tuple(r for r in distinct_irreducible_factors(p) if r.degree == 1)
+    assert linear == (Poly((-1, 2)), Poly((5, 3)))
+    assert {root(r) for r in linear} == {Fraction(1, 2), Fraction(-5, 3)}
+    assert NF(Model.RAT, P_ONE, p).support == Poly((-1, 2)) * Poly((5, 3))
 
 
 def test_distinct_factors_ignore_multiplicity():
@@ -190,3 +192,62 @@ def test_monic_division_rejects_non_monic_divisor():
         _monic_divmod([2, 3, 1], [1, 2])
     with pytest.raises(FactorizationError):
         _monic_divmod([2, 3, 1], [])
+
+
+def _swinnerton_dyer(primes):
+    """Minimal polynomial of sum(+-sqrt(p)): f(x+t)*f(x-t) = A^2 - p*B^2
+    where f(x+t) = A + t*B and t^2 = p."""
+    f = X
+    for p in primes:
+        a = b = Poly()
+        for c in reversed(f.coeffs):
+            a, b = a * X + b.scale(p) + Poly.constant(c), a + b * X
+        f = a * a - (b * b).scale(p)
+    return f
+
+
+def test_recombination_tests_prune_the_subset_search(monkeypatch):
+    # Degree-32 Swinnerton-Dyer: irreducible, with 16 modular factors, so
+    # 39202 subsets; the constant-term and trace tests leave few to divide.
+    divisions = []
+
+    def counted(a, b, m=None):
+        if m is None:
+            divisions.append(None)
+        return _monic_divmod(a, b, m)
+
+    monkeypatch.setattr(factor, "_monic_divmod", counted)
+    sd32 = _swinnerton_dyer((2, 3, 5, 7, 11))
+    assert factor_rationals(sd32).factors == ((sd32, 1),)
+    assert len(divisions) <= 200
+
+
+def _factor_corpus():
+    rng = random.Random(23)
+    sd16 = _swinnerton_dyer((2, 3, 5, 7))
+    corpus = [sd16, sd16 * Poly((1, 0, 1))]
+    for _ in range(40):
+        p = Poly.constant(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+        for _ in range(rng.randint(1, 4)):
+            p = p * random_int_poly(rng, 5) ** rng.randint(1, 2)
+        if not p.is_constant():
+            corpus.append(p)
+    return corpus
+
+
+def test_factorizations_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for p in _factor_corpus():
+        unit, factors = sympy.factor_list(
+            sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(p.coeffs)),
+            x)
+        expected = {}
+        for f, mult in factors:
+            cs = [int(c) for c in reversed(sympy.Poly(f, x).all_coeffs())]
+            q = Poly(cs)
+            unit *= sympy.sign(q.lead) ** mult
+            expected[q.primitive()] = mult
+        fact = factor_rationals(p)
+        assert dict(fact.factors) == expected
+        assert fact.unit == Fraction(str(unit))

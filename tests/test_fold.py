@@ -120,7 +120,7 @@ def deep_terms():
 def test_deep_term_normalizes_in_both_models(deep_terms, name):
     poly = DEEP[name][1]
     for model in Model:
-        assert normalize(deep_terms[name], model) == NF(model, poly, P_ONE, ())
+        assert normalize(deep_terms[name], model) == NF(model, poly, P_ONE)
 
 
 @pytest.mark.parametrize("name", DEEP)

@@ -1,9 +1,12 @@
+import operator
 import random
 from fractions import Fraction
+from functools import reduce
+from typing import NamedTuple
 
 import pytest
 
-from meadows import mixed, normalform
+from meadows import decide, factor, mixed, normalform
 from meadows.cli import main
 from meadows.checks import (
     check_emission,
@@ -11,7 +14,7 @@ from meadows.checks import (
     check_indicator,
     check_witness,
 )
-from meadows.generate import random_rat, random_term
+from meadows.generate import random_int_poly, random_rat, random_term
 from meadows.mixed import (
     EmissionError,
     MixedFraction,
@@ -24,13 +27,12 @@ from meadows.mixed import (
 )
 from meadows.normalform import (
     Model,
-    candidate_loci,
     eval_term,
     eval_term_mod,
     normalize,
 )
-from meadows.poly import P_ONE, P_ZERO, Poly, StdPoly
-from meadows.terms import Div, TermClass, classify, format_term, parse
+from meadows.poly import P_ONE, P_ZERO, Poly, StdPoly, poly_bezout, standardize
+from meadows.terms import Div, TermClass, classify, format_term, interpret, parse
 
 X = Poly((0, 1))
 
@@ -268,13 +270,19 @@ def _pfsum_shape(seed):
                       for p in sorted(poles))
 
 
+def _candidate_loci(model, den):
+    """Irreducible factors of den with roots in the model's carrier."""
+    return tuple(r for r in factor.distinct_irreducible_factors(den)
+                 if model is Model.COMPLEX or r.degree == 1)
+
+
 def _support(nf):
-    return sorted({r for r, _ in nf.corrections} | set(candidate_loci(nf.model, nf.den)),
+    return sorted({r for r, _ in nf.corrections} | set(_candidate_loci(nf.model, nf.den)),
                   key=str)
 
 
 def _patch_parts(monkeypatch, change):
-    """Make emit pass its parts (nf, g, support product, targets) through
+    """Make emit pass its parts (nf, g, support product) through
     ``change`` before building the mixed fraction."""
     build = mixed._emit_from_parts
     monkeypatch.setattr(mixed, "_emit_from_parts",
@@ -288,7 +296,7 @@ def _patch_fraction(monkeypatch, change):
     def patched(*parts):
         mf = build(*parts)
         fn, fd = change(mf.frac_num, mf.frac_den)
-        return MixedFraction(mf.poly, fn, fd, mf.witness_n, mf.targets)
+        return MixedFraction(mf.poly, fn, fd, mf.witness_n, mf.source)
 
     monkeypatch.setattr(mixed, "_emit_from_parts", patched)
 
@@ -308,8 +316,7 @@ def case_nf(request):
 @pytest.mark.parametrize("which", [0, -1])
 def test_certificate_rejects_g_altered_on_one_locus(monkeypatch, case_nf, which):
     r = _support(case_nf)[which]
-    _patch_parts(monkeypatch, lambda nf, g, e, targets:
-                 (nf, g + e.exact_div(r), e, targets))
+    _patch_parts(monkeypatch, lambda nf, g, e: (nf, g + e.exact_div(r), e))
     with pytest.raises(EmissionError):
         emit(case_nf, check=True)
 
@@ -323,8 +330,7 @@ def test_certificate_rejects_altered_fraction_numerator(monkeypatch, case_nf):
 @pytest.mark.parametrize("which", [0, -1])
 def test_certificate_rejects_dropped_support_locus(monkeypatch, case_nf, which):
     r = _support(case_nf)[which]
-    _patch_parts(monkeypatch, lambda nf, g, e, targets:
-                 (nf, g, e.exact_div(r), targets))
+    _patch_parts(monkeypatch, lambda nf, g, e: (nf, g, e.exact_div(r)))
     with pytest.raises(EmissionError):
         emit(case_nf, check=True)
 
@@ -411,7 +417,7 @@ def test_certificate_agrees_with_round_trip_on_workload_shapes(text, model):
 
 
 def test_certified_emission_neither_normalizes_nor_factors(monkeypatch, cold_caches):
-    caches = cold_caches[:3]  # the factor caches
+    caches = cold_caches[:2]  # the factor caches
     nfs = [normalize(parse(t), Model.COMPLEX) for t in _loci_shapes(51)]
 
     def fail(*args):
@@ -451,3 +457,175 @@ def test_each_emission_is_rendered_once(monkeypatch, capsys):
                          "--dump-nf", text]) == 0
             assert len(calls) == 1
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# Differential test against the per-locus normal form.  The oracle is the
+# earlier design: one correction (r, s) per irreducible locus r, candidate
+# loci from factoring every denominator, n^2 residues per sum or product and
+# a per-locus CRT at emission.
+
+
+def _locus_inv(a, r):
+    """Inverse of a residue modulo an irreducible r (0 to 0)."""
+    return P_ZERO if a.is_zero() else poly_bezout(a, r)[2] % r
+
+
+class _LociNF(NamedTuple):
+    model: Model
+    num: Poly
+    den: Poly
+    corrections: tuple
+
+    def generic_mod(self, r):
+        d = self.den % r
+        return P_ZERO if d.is_zero() else (self.num % r * _locus_inv(d, r)) % r
+
+    def value_mod(self, r):
+        for locus, s in self.corrections:
+            if locus == r:
+                return s
+        return self.generic_mod(r)
+
+
+def _loci_make(model, num, den, candidates):
+    base = _LociNF(model, *normalform._reduce(num, den), ())
+    return base._replace(corrections=tuple(
+        (r, candidates[r]) for r in sorted(candidates, key=factor._order_key)
+        if candidates[r] != base.generic_mod(r)))
+
+
+def _loci_combine(nfs, op, unit, base):
+    loci = set()
+    for nf in nfs:
+        loci.update(r for r, _ in nf.corrections)
+        loci.update(_candidate_loci(nf.model, nf.den))
+    candidates = {r: reduce(lambda s, nf: op(s, nf.value_mod(r)) % r, nfs, unit)
+                  for r in loci}
+    return _loci_make(nfs[0].model, *base(list(nfs)), candidates)
+
+
+def _loci_nf_inv(a):
+    candidates = {r: _locus_inv(s, r) for r, s in a.corrections}
+    if a.num.is_zero():
+        return _loci_make(a.model, P_ZERO, P_ONE, candidates)
+    return _loci_make(a.model, a.den, a.num, candidates)
+
+
+def _loci_normalize(t, model):
+    def lift(p):
+        return _LociNF(model, p, P_ONE, ())
+
+    return interpret(
+        t, lambda n: lift(Poly.constant(n)), lambda: lift(X),
+        lambda a: a._replace(num=-a.num,
+                             corrections=tuple((r, -s) for r, s in a.corrections)),
+        lambda *v: _loci_combine(v, operator.add, P_ZERO, normalform._sum_base),
+        lambda *v: _loci_combine(v, operator.mul, P_ONE, normalform._product_base),
+        _loci_nf_inv)
+
+
+def _loci_emission(nf):
+    """Support product, patch polynomial and per-locus (locus, value,
+    coefficient) of the per-locus emission."""
+    values = dict(nf.corrections)
+    loci = sorted(values.keys() | set(_candidate_loci(nf.model, nf.den)),
+                  key=factor._order_key)
+    e = reduce(operator.mul, loci, P_ONE)
+    g, targets = P_ZERO, []
+    for r in loci:
+        v = values.get(r, P_ZERO)
+        h = e.exact_div(r)
+        coeff = (v * _locus_inv(h % r, r)) % r
+        g = g + h * coeff
+        targets.append((r, v, coeff))
+    return e, g, targets
+
+
+def _assert_matches_per_locus(t, model):
+    nf = normalize(t, model)
+    old = _loci_normalize(t, model)
+    assert (nf.num, nf.den, nf.corrections) == (old.num, old.den, old.corrections)
+    e, g, targets = _loci_emission(old)
+    mf = emit(nf, check=True)
+    if nf.den == P_ONE and not old.corrections:
+        assert mf.poly == standardize(nf.num) and mf.frac_num == P_ZERO
+        return
+    assert nf.support == e
+    assert mf == mixed._emit_from_parts(nf, g, e)
+    if model is Model.COMPLEX:
+        assert [(t.locus, t.value, t.coefficient) for t in mf.targets] == targets
+    else:
+        leads = reduce(operator.mul, (r.lead for r, _, _ in targets), Fraction(1))
+        assert [(t.point, t.value, t.weight) for t in mf.targets] == sorted(
+            (normalform.root(r), v.coeff(0), c.coeff(0) * leads / r.lead)
+            for r, v, c in targets)
+
+
+def _shared_loci_term(rng):
+    """Loci and poles that share factors: corrections on a*b where b is
+    also a pole, then the inverse of the whole, which inverts a residue
+    modulo a reducible locus."""
+    a, b = (random_int_poly(rng, 3) ** rng.randint(1, 2) for _ in range(2))
+    u, v, w = (random_int_poly(rng, 2) for _ in range(3))
+    text = (f"({a})/({a}) * ({u}) + ({v})/(({a})*({b})) + 1/({b}) "
+            f"- ({w})*(({b})/({b}))")
+    return parse(f"1/({text})" if rng.random() < 0.5 else text)
+
+
+@pytest.mark.parametrize("model", list(Model))
+@pytest.mark.parametrize("make", [lambda rng: random_term(rng, depth=7),
+                                  _shared_loci_term], ids=["random", "shared"])
+def test_normal_form_matches_the_per_locus_design(model, make):
+    rng = random.Random(53)
+    for _ in range(150):
+        _assert_matches_per_locus(make(rng), model)
+
+
+@pytest.mark.parametrize("text, model", [
+    *[(_pfsum_shape(54), m) for m in Model],
+    *[(t, Model.COMPLEX) for t in _loci_shapes(55)],
+], ids=["pfsum-q", "pfsum-c", "loci-sum", "loci-indicator", "loci-sd"])
+def test_normal_form_matches_the_per_locus_design_on_workload_shapes(text, model):
+    _assert_matches_per_locus(parse(text), model)
+
+
+# ---------------------------------------------------------------------------
+# Factoring happens only at the output boundary
+
+
+def _factor_misses(caches):
+    return [c.cache_info().misses for c in caches[:2]]
+
+
+def test_a_loci_session_factors_only_the_witness_locus(cold_caches):
+    rng = random.Random(56)
+    r1, r2 = _eisenstein(rng, 24), _eisenstein(rng, 16)
+    sd = _swinnerton_dyer((2, 3, 5, 7), 11)
+    a, b, s = (parse(t) for t in (f"({r1})/({r1}) + 1/({r2})", f"1 - ({r1})/({r1})",
+                                  f"1 - ({sd})/({sd})"))
+    c = Model.COMPLEX
+    for t in (a, b, s):
+        emit(normalize(t, c), check=True)
+    assert decide.decide_eq(a, parse(f"1/({r2}) + ({r1})*(1/({r1}))"), c)
+    other = parse(f"1/({r2}) + 1")
+    assert not decide.decide_eq(a, other, c)
+    assert decide.distinguishing_witness(a, other, c).locus == r1
+    assert decide.finite_support_sum(b, c).value == 24
+    assert decide.finite_support_sum(s, c).value == 16
+    assert _factor_misses(cold_caches) == [1, 1]
+    factor.distinct_irreducible_factors(r1)
+    assert _factor_misses(cold_caches) == [1, 1]
+
+
+@pytest.mark.parametrize("text", ["1 - ({0})/({0})", "1/({0}) + 1"])
+def test_complex_operations_on_a_degree_32_locus_never_factor(cold_caches, text):
+    sd32 = _swinnerton_dyer((2, 3, 5, 7, 11), 0)
+    t = parse(text.format(sd32))
+    c = Model.COMPLEX
+    emit(normalize(t, c), check=True)
+    assert decide.decide_eq(t, parse(text.format(sd32).replace("/", "*1/")), c)
+    result = decide.finite_support_sum(t, c)
+    expected = (32, True) if text.startswith("1 -") else (0, False)
+    assert (result.value, result.support_finite) == expected
+    assert _factor_misses(cold_caches) == [0, 0]

@@ -15,7 +15,6 @@ from meadows import normalform
 from meadows.generate import random_term
 from meadows.normalform import (
     NF,
-    LocusMustSplitError,
     Model,
     eval_term,
     eval_term_mod,
@@ -26,7 +25,7 @@ from meadows.normalform import (
     normalize,
     quotient_inv,
 )
-from meadows.poly import P_ONE, P_ZERO, Poly, poly_bezout
+from meadows.poly import P_ONE, P_ZERO, Poly, poly_bezout, poly_gcd
 from meadows.terms import (
     Add,
     IntLit,
@@ -72,9 +71,10 @@ def test_eval_term_mod_cube():
     assert eval_term_mod(parse("x^3"), Poly((2, 0, 1))) == Poly((0, -2))
 
 
-def test_eval_term_mod_detects_reducible_locus():
-    with pytest.raises(LocusMustSplitError):
-        eval_term_mod(parse("1/(x-1)"), Poly((-1, 0, 1)))
+def test_eval_term_mod_inverts_modulo_a_reducible_locus():
+    # 1/(x-1) is 0 at 1 and -1/2 at -1: the residue (x-1)/4 modulo x^2 - 1
+    s = eval_term_mod(parse("1/(x-1)"), Poly((-1, 0, 1)))
+    assert s == Poly((Fraction(-1, 4), Fraction(1, 4)))
 
 
 def test_eval_term_mod_rejects_constant_modulus():
@@ -84,7 +84,7 @@ def test_eval_term_mod_rejects_constant_modulus():
 
 def test_normalize_x_over_x():
     nf = normalize(parse("x/x"), Model.RAT)
-    assert nf == NF(Model.RAT, P_ONE, P_ONE, ((X, P_ZERO),))
+    assert nf == NF(Model.RAT, P_ONE, P_ONE, X, P_ZERO)
 
 
 def test_normalize_sum_with_pole():
@@ -117,7 +117,7 @@ def test_normalize_example2_exceptions():
 
 def test_normalize_closed_term_is_constant():
     nf = normalize(parse("5 - 2/7"), Model.RAT)
-    assert nf == NF(Model.RAT, Poly.constant(Fraction(33, 7)), P_ONE, ())
+    assert nf == NF(Model.RAT, Poly.constant(Fraction(33, 7)), P_ONE)
 
 
 def test_nf_add_example():
@@ -142,7 +142,7 @@ def test_nf_add_zero_identity():
 def test_nf_mul_x_with_inverse():
     product = nf_mul(normalize(parse("x"), Model.RAT),
                      normalize(parse("1/x"), Model.RAT))
-    assert product == NF(Model.RAT, P_ONE, P_ONE, ((X, P_ZERO),))
+    assert product == NF(Model.RAT, P_ONE, P_ONE, X, P_ZERO)
 
 
 def test_nf_mul_rejects_model_mismatch():
@@ -163,7 +163,7 @@ def test_nf_neg_involution_and_example():
 
 def test_nf_inv_of_x():
     inv = nf_inv(normalize(parse("x"), Model.RAT))
-    assert inv == NF(Model.RAT, P_ONE, X, ())
+    assert inv == NF(Model.RAT, P_ONE, X)
 
 
 def test_nf_inv_involution_property():
@@ -303,7 +303,8 @@ def test_rational_nf_is_complex_nf_on_linear_loci():
         t = random_term(rng, depth=5)
         nf_c = normalize(t, Model.COMPLEX)
         linear = tuple((r, s) for r, s in nf_c.corrections if r.degree == 1)
-        assert normalize(t, Model.RAT) == NF(Model.RAT, nf_c.num, nf_c.den, linear)
+        nf_q = normalize(t, Model.RAT)
+        assert (nf_q.num, nf_q.den, nf_q.corrections) == (nf_c.num, nf_c.den, linear)
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +314,8 @@ def test_rational_nf_is_complex_nf_on_linear_loci():
 def _reference_normalize(t, model):
     """Normalization in the algebra of normal forms alone: every leaf is
     lifted into NF, so every sum, product and power is an NF operation."""
-    x = NF(model, X, P_ONE, ())
-    return interpret(t, lambda n: NF(model, Poly.constant(n), P_ONE, ()),
+    x = NF(model, X, P_ONE)
+    return interpret(t, lambda n: NF(model, Poly.constant(n), P_ONE),
                      lambda: x, nf_neg, nf_add, nf_mul, nf_inv)
 
 
@@ -353,7 +354,7 @@ def test_division_free_terms_never_enter_the_nf_algebra(monkeypatch):
     expected = (Poly((1, 1)) ** 60 - X ** 60 + Poly.constant(Fraction(3, 2))
                 - Poly((-2, 0, 1)).scale(Fraction(1, 7)))
     for model in Model:
-        assert normalize(t, model) == NF(model, expected, P_ONE, ())
+        assert normalize(t, model) == NF(model, expected, P_ONE)
 
 
 def _eisenstein_locus(rng, degree):
@@ -384,10 +385,18 @@ def test_constant_residues_bypass_the_inverse_cache(cold_caches):
     assert normalform._bezout_inverse.cache_info().currsize == 0
 
 
-def test_reducible_modulus_raises_on_every_call(cold_caches):
-    modulus = Poly((1, 0, 1)) * Poly((-1, 1))  # (x^2 + 1)(x - 1)
-    for _ in range(2):
-        with pytest.raises(LocusMustSplitError):
-            quotient_inv(Poly((-1, 1)), modulus)
-    info = normalform._bezout_inverse.cache_info()
-    assert (info.misses, info.currsize) == (2, 0)
+def test_quotient_inv_is_the_meadow_inverse_modulo_a_reducible_modulus(cold_caches):
+    # (x^2 + 1)(x - 1)(x + 2): a residue sharing x - 1 or x^2 + 1 with it
+    # inverts to 0 on the shared roots and to its inverse on the others.
+    modulus = Poly((1, 0, 1)) * Poly((-1, 1)) * Poly((2, 1))
+    for a in (Poly((-1, 1)), Poly((1, 0, 1)), Poly((-1, 1)) * Poly((3, 1)),
+              Poly((1, 0, 1)) * Poly((2, 1))):
+        s = quotient_inv(a, modulus)
+        assert s.degree < modulus.degree
+        assert (a * s * a) % modulus == a
+        assert (s * a * s) % modulus == s
+        g = poly_gcd(a, modulus)
+        assert s % g == P_ZERO
+        unit = modulus.exact_div(g)
+        assert (a * s) % unit == P_ONE
+        assert quotient_inv(a, modulus) == s

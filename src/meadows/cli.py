@@ -6,8 +6,9 @@ codes:
 * 0 when the command (or decided property) holds;
 * 1 when a decision comes out negative or a check fails;
 * 2 on malformed input;
-* 3 when the input is nested too deeply for the recursive-descent parser;
 * 4 on an internal error (a defect, reported on one ``error:`` line).
+
+No pass recurses on its input, so input of any depth gets one of these.
 
 Expressions are taken as one argument, or from a file with @path;
 expressions and points may start with "-".
@@ -273,9 +274,6 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError:
-        print("error: input nested too deeply", file=sys.stderr)
-        return 3
     except Exception as exc:  # a defect: report it, never as a verdict
         print(f"error: internal error: {type(exc).__name__}: {exc}",
               file=sys.stderr)

@@ -9,8 +9,8 @@ irreducible over Q, primitive with integer coefficients and positive
 leading coefficient.  The modular and integer steps run on the integer
 kernel of ``meadows.poly`` (coefficient lists over Z or Z/m), the same
 one the polynomial arithmetic uses.  Results are cached on the squarefree
-part (itself memoized in ``meadows.poly``), in caches of CACHE_SIZE
-entries each, since the same polynomials are factored repeatedly.
+part (itself memoized in ``meadows.poly``), in one cache of CACHE_SIZE
+entries, since the same polynomials are factored repeatedly.
 """
 
 from __future__ import annotations
@@ -259,7 +259,6 @@ def _symmetric(a: list[int], m: int) -> list[int]:
     return zx_trim([c - m if c > m // 2 else c for c in (x % m for x in a)])
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def _zassenhaus_monic(coeffs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Irreducible monic integer factors of a squarefree monic polynomial."""
     f = list(coeffs)

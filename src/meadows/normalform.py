@@ -207,22 +207,20 @@ def quotient_inv(a: Poly, modulus: Poly) -> Poly:
         return P_ZERO
     if a.is_constant():
         return Poly.constant(1 / a.content)
-    s = _bezout_inverse(a, modulus)
-    if s is not None:
-        return s
-    g = _gcd(a, modulus)
-    unit = _quo(modulus, g)
-    return crt(quotient_inv(a % unit, unit), unit, P_ZERO, g)
+    return _bezout_inverse(a, modulus)
 
 
 # Only nonconstant residues are memoized: the constant ones (every residue
-# modulo a linear locus) need no Bezout and would only crowd the cache.  A
-# residue that shares a factor with the modulus is cached as None.
+# modulo a linear locus) need no Bezout and would only crowd the cache.  The
+# gcd is taken once per pair, and a residue that shares a factor with the
+# modulus is cached with its split inverse.
 @lru_cache(maxsize=CACHE_SIZE)
-def _bezout_inverse(a: Poly, modulus: Poly) -> Poly | None:
-    if not poly_gcd(a, modulus).is_constant():
-        return None
-    return poly_bezout(a, modulus)[2] % modulus
+def _bezout_inverse(a: Poly, modulus: Poly) -> Poly:
+    g = _gcd(a, modulus)
+    if g.is_constant():
+        return poly_bezout(a, modulus)[2] % modulus
+    unit = _quo(modulus, g)
+    return crt(quotient_inv(a % unit, unit), unit, P_ZERO, g)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ product.  ``desugar`` removes both without changing the denoted function.
 
 Every traversal but printing, equality and hashing is one post-order
 ``fold`` over an explicit stack; ``interpret`` specializes it to a term's
-value in a meadow.  Those three keep their own stacks, and only the
-recursive-descent parser recurses.
+value in a meadow.  Those three keep their own stacks, and the parser is
+one operator-precedence loop over a stack of pending operators, so nothing
+recurses on a term's depth.
 """
 
 from __future__ import annotations
@@ -304,113 +305,50 @@ def desugar(t: Term) -> Term:
 # prod  := unary (("*"|"·") unary | "/" unary)*
 # unary := "-" unary | atom ("^" natural)?
 # atom  := natural | identifier | "(" expr ")"
+#
+# One operator-precedence loop reads the grammar (Dijkstra's shunting yard):
+# pending operators wait on an explicit stack, so input of any depth parses.
+# An infix operator first applies every pending one that binds at least as
+# tightly; prefix minus binds tighter than all of them, and "^" applies at
+# once to the atom or parenthesized group just read.
 
-_MUL_CHARS = {"*", "·"}
+
+def _sub(a: Term, b: Term) -> Term:
+    return Add(a, Neg(b))
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.var_name: str | None = None
+_BINARY = {"+": (1, Add), "-": (1, _sub), "*": (2, Mul), "·": (2, Mul), "/": (2, Div)}
+_PREFIX_MINUS = (3, Neg)
+_OPEN = (0, None)  # an open parenthesis: no infix operator applies past it
 
-    def error(self, message: str) -> TermSyntaxError:
-        return TermSyntaxError(message, self.pos)
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+def _skip(text: str, i: int) -> int:
+    """First position at or after i that is not whitespace."""
+    while i < len(text) and text[i].isspace():
+        i += 1
+    return i
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def parse(self) -> Term:
-        t = self.sum()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise self.error(f"unexpected {self.text[self.pos]!r}")
-        return t
+def _natural(text: str, i: int) -> tuple[int, int]:
+    """The decimal natural after whitespace at i, and the position after it."""
+    start = i = _skip(text, i)
+    while i < len(text) and text[i].isdigit():
+        i += 1
+    if i == start:
+        raise TermSyntaxError("expected a natural number", i)
+    return int(text[start:i]), i
 
-    def sum(self) -> Term:
-        t = self.prod()
-        while True:
-            c = self.peek()
-            if c == "+":
-                self.pos += 1
-                t = Add(t, self.prod())
-            elif c == "-":
-                self.pos += 1
-                t = Add(t, Neg(self.prod()))
-            else:
-                return t
 
-    def prod(self) -> Term:
-        t = self.unary()
-        while True:
-            c = self.peek()
-            if c in _MUL_CHARS:
-                self.pos += 1
-                t = Mul(t, self.unary())
-            elif c == "/":
-                self.pos += 1
-                t = Div(t, self.unary())
-            else:
-                return t
-
-    def unary(self) -> Term:
-        if self.peek() == "-":
-            self.pos += 1
-            return Neg(self.unary())
-        t = self.atom()
-        if self.peek() == "^":
-            self.pos += 1
-            t = Pow(t, self.natural())
-        return t
-
-    def natural(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected a natural number")
-        return int(self.text[start : self.pos])
-
-    def atom(self) -> Term:
-        c = self.peek()
-        if c == "(":
-            self.pos += 1
-            t = self.sum()
-            if self.peek() != ")":
-                raise self.error("expected ')'")
-            self.pos += 1
-            return t
-        if c.isdigit():
-            n = self.natural()
-            if n == 0:
-                return ZERO
-            if n == 1:
-                return ONE
-            return IntLit(n)
-        if c.isalpha() or c == "_":
-            start = self.pos
-            while self.pos < len(self.text) and (
-                self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-            ):
-                self.pos += 1
-            name = self.text[start : self.pos]
-            if self.var_name is None:
-                self.var_name = name
-            elif name != self.var_name:
-                self.pos = start
-                raise self.error(
-                    f"multiple variables: {self.var_name!r} and {name!r}"
-                )
-            return X
-        if c == "":
-            raise self.error("unexpected end of input")
-        raise self.error(f"unexpected {c!r}")
+def _apply(ops: list, values: list, precedence: int) -> None:
+    """Apply the pending operators that bind at least as tightly as
+    precedence, innermost first."""
+    while ops and ops[-1][0] >= precedence:
+        build = ops.pop()[1]
+        if build is Neg:
+            values[-1] = Neg(values[-1])
+        else:
+            right = values.pop()
+            values[-1] = build(values[-1], right)
 
 
 def parse(text: str) -> Term:
@@ -421,7 +359,63 @@ def parse(text: str) -> Term:
     identifier may serve as the variable.  Raises TermSyntaxError on
     malformed input or when two distinct identifiers occur.
     """
-    return _Parser(text).parse()
+    end = len(text)
+    values: list[Term] = []
+    ops: list = []  # (precedence, constructor) of each pending operator
+    pos = depth = 0
+    name = None
+    while True:
+        # An operand: prefix minuses and open parentheses, then an atom.
+        pos = _skip(text, pos)
+        c = text[pos : pos + 1]
+        if c == "-" or c == "(":
+            ops.append(_PREFIX_MINUS if c == "-" else _OPEN)
+            depth += c == "("
+            pos += 1
+            continue
+        if c.isdigit():
+            n, pos = _natural(text, pos)
+            values.append(ZERO if n == 0 else ONE if n == 1 else IntLit(n))
+        elif c.isalpha() or c == "_":
+            start = pos
+            while pos < end and (text[pos].isalnum() or text[pos] == "_"):
+                pos += 1
+            if name is None:
+                name = text[start:pos]
+            elif text[start:pos] != name:
+                raise TermSyntaxError(
+                    f"multiple variables: {name!r} and {text[start:pos]!r}", start
+                )
+            values.append(X)
+        else:
+            message = f"unexpected {c!r}" if c else "unexpected end of input"
+            raise TermSyntaxError(message, pos)
+        # After it: a power, then closing parentheses, each again with a power.
+        pos = _skip(text, pos)
+        while True:
+            if text.startswith("^", pos):
+                n, pos = _natural(text, pos + 1)
+                values[-1] = Pow(values[-1], n)
+                pos = _skip(text, pos)
+            c = text[pos : pos + 1]
+            if c != ")" or not depth:
+                break
+            _apply(ops, values, 1)
+            ops.pop()
+            depth -= 1
+            pos = _skip(text, pos + 1)
+        op = _BINARY.get(c)
+        if op:
+            _apply(ops, values, op[0])
+            ops.append(op)
+            pos += 1
+        elif depth:
+            raise TermSyntaxError("expected ')'", pos)
+        elif c:
+            raise TermSyntaxError(f"unexpected {c!r}", pos)
+        else:
+            _apply(ops, values, 1)
+            return values[0]
 
 
 # ---------------------------------------------------------------------------

@@ -235,12 +235,12 @@ def test_option_abbreviations_still_name_options(capsys):
     assert run(capsys, "normalize", "x", "--model=c", "--o", "json") == expected
 
 
-def test_deep_nesting_exits_3_without_traceback(capsys):
+def test_deep_nesting_answers(capsys):
     deep = "(" * 3000 + "x" + ")" * 3000
-    code, out, err = run(capsys, "eq", deep, "x")
-    assert code == 3
-    assert out == ""
-    assert err == "error: input nested too deeply\n"
+    assert run(capsys, "eq", deep, "x") == (0, "equal\n", "")
+    code, out, err = run(capsys, "normalize", "-" * 3000 + "x")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "x + 0/1"
 
 
 @pytest.mark.parametrize("command, error", [

@@ -12,6 +12,7 @@ fold's results instead.
 """
 
 import random
+import sys
 from fractions import Fraction
 from functools import reduce
 
@@ -164,6 +165,50 @@ def test_cli_answers_deep_input_from_file(tmp_path, capsys, name):
     assert main(["normalize", f"@{path}"]) == 0
     want = "50000*x" if name == "sum" else "x"
     assert capsys.readouterr().out.splitlines()[0] == want + " + 0/1"
+
+
+# ---------------------------------------------------------------------------
+# No pass recurses on its input: with the recursion limit a few dozen frames
+# above the caller, every command still answers 10^5-deep nesting, so any
+# recursion that grows with depth (parser, fold, printer, term equality,
+# JSON, emission) fails here.
+
+D = 10**5
+NESTED = {
+    "parentheses": "(" * D + "x" + ")" * D,
+    "minuses": "-" * D + "x",
+    "alternating": "(-(" * D + "x" + "))" * D,
+}
+
+
+def _stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+@pytest.mark.parametrize("name", NESTED)
+def test_no_command_recurses_on_nested_input(tmp_path, capsys, name):
+    path = tmp_path / "term.txt"
+    path.write_text(NESTED[name], encoding="utf-8")
+    term = f"@{path}"
+    commands = (
+        ["parse", term],
+        ["eval", term, "1/2"],
+        ["normalize", term],
+        ["normalize", term, "--model", "c", "--output", "json", "--dump-nf"],
+        ["eq", term, "x"],
+        ["simple", term],
+        ["sumstar", term, "0"],
+    )
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 50)
+    try:
+        codes = [main(argv) for argv in commands]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert set(codes) <= {0, 1}, capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ the reduced base through by the correction locus exhibits the fraction.
 Finite-support summation reduces to the normal form as well: a nonzero
 reduced base is nonzero at all but finitely many arguments, so the support
 is infinite and the sum is 0 by convention; otherwise the support lies on
-the correction locus and the sum is the Newton-identity trace sum of the
-residue over the roots of the squarefree locus.  Both models share one
+the correction locus and the sum is the trace sum of the residue over the
+roots of the squarefree locus, read off one polynomial remainder.  Both models share one
 procedure; a rational-model witness is reported at a point.
 """
 

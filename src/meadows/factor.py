@@ -1,16 +1,17 @@
 """Factorization of univariate polynomials into irreducibles over Q.
 
 The pipeline is classical: pull out the rational content, split off the
-squarefree part, transform to a monic integer polynomial, factor that
-modulo a small prime (distinct-degree plus equal-degree splitting), Hensel
-lift to a modulus beyond the Landau-Mignotte coefficient bound, and
-recombine modular factors by trial division.  Every returned factor is
-irreducible over Q, primitive with integer coefficients and positive
-leading coefficient.  The modular and integer steps run on the integer
-kernel of ``meadows.poly`` (coefficient lists over Z or Z/m), the same
-one the polynomial arithmetic uses.  Results are cached on the squarefree
-part (itself memoized in ``meadows.poly``), in one cache of CACHE_SIZE
-entries, since the same polynomials are factored repeatedly.
+squarefree part, factor the primitive integer polynomial modulo a small
+prime not dividing its lead (distinct-degree plus equal-degree splitting),
+Hensel lift to a modulus beyond the Landau-Mignotte coefficient bound
+times the lead, and recombine modular factors, scaled by the lead, by
+trial division.  Every returned factor is irreducible over Q, primitive
+with integer coefficients and positive leading coefficient.  The modular
+and integer steps run on the integer kernel of ``meadows.poly``
+(coefficient lists over Z or Z/m), the same one the polynomial arithmetic
+uses.  Results are cached on the squarefree part (itself memoized in
+``meadows.poly``), in one cache of CACHE_SIZE entries, since the same
+polynomials are factored repeatedly.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import lru_cache, reduce
 
 from .ints import odd_primes_from
 from .poly import (CACHE_SIZE, P_ONE, P_X, Poly, squarefree_part, zx_add, zx_divmod,
-                   zx_mul, zx_primitive, zx_sub, zx_trim)
+                   zx_gcd, zx_mul, zx_primitive, zx_sub, zx_trim)
 from .rationals import Rat
 
 
@@ -96,26 +97,8 @@ def _squarefree_factors_cached(f: Poly) -> tuple[Poly, ...]:
     low = 1 if f.ints[0] == 0 else 0  # f is squarefree: x divides it at most once
     factors = [P_X] if low else []
     if len(f.ints) - low >= 2:
-        factors.extend(_factor_squarefree_primitive(f.ints[low:]))
+        factors.extend(Poly.from_ints(g) for g in _zassenhaus(list(f.ints[low:])))
     return tuple(sorted(factors, key=_order_key))
-
-
-def _factor_squarefree_primitive(f: tuple[int, ...]) -> list[Poly]:
-    """Factor a squarefree primitive integer polynomial with nonzero
-    constant term and positive lead; returns primitive positive-leading
-    irreducibles."""
-    n = len(f) - 1
-    if n == 1:
-        return [Poly.from_ints(f)]
-    a = f[-1]
-    # Monic transform: a^(n-1) * f(x/a) is monic with integer coefficients
-    # and the same factor structure up to the substitution x -> a*x.
-    monic = tuple(f[i] * a ** (n - 1 - i) for i in range(n)) + (1,)
-    result = [Poly.from_ints([c * a**i for i, c in enumerate(g)]).primitive()
-              for g in _zassenhaus_monic(monic)]
-    _require(tuple(reduce(zx_mul, (g.ints for g in result))) == f,
-             "monic back-substitution failed to reproduce the input")
-    return result
 
 
 def _monic_divmod(a: list[int], b: list[int], m: int | None = None):
@@ -126,13 +109,6 @@ def _monic_divmod(a: list[int], b: list[int], m: int | None = None):
 
 # ---------------------------------------------------------------------------
 # Arithmetic modulo a prime p
-
-
-def _pz_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = zx_trim([c % p for c in a]), zx_trim([c % p for c in b])
-    while b:
-        a, b = b, zx_divmod(a, b, p)[1]
-    return zx_primitive(a, p)
 
 
 def _pz_xgcd(a: list[int], b: list[int], p: int):
@@ -174,7 +150,7 @@ def _modp_factor(f: list[int], p: int) -> list[list[int]]:
     while len(v) - 1 >= 2 * (d + 1):
         d += 1
         h = _pz_powmod(h, p, v, p)
-        g = _pz_gcd(zx_sub(h, x, p), v, p)
+        g = zx_gcd(zx_sub(h, x, p), v, p)
         if len(g) - 1 > 0:
             factors.extend(_equal_degree_split(g, d, p))
             v = zx_divmod(v, g, p)[0]
@@ -203,7 +179,7 @@ def _equal_degree_split(g: list[int], d: int, p: int) -> list[list[int]]:
                 continue
             u = _pz_powmod(w, e, cur, p)
             u = zx_sub(u, [1], p)
-            split = _pz_gcd(u, cur, p)
+            split = zx_gcd(u, cur, p)
             if 0 < len(split) - 1 < deg:
                 stack.append(split)
                 stack.append(zx_divmod(cur, split, p)[0])
@@ -259,26 +235,30 @@ def _symmetric(a: list[int], m: int) -> list[int]:
     return zx_trim([c - m if c > m // 2 else c for c in (x % m for x in a)])
 
 
-def _zassenhaus_monic(coeffs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Irreducible monic integer factors of a squarefree monic polynomial."""
-    f = list(coeffs)
-    n = len(f) - 1
+def _zassenhaus(f: list[int]) -> list[list[int]]:
+    """Irreducible factors of a squarefree primitive integer polynomial
+    with positive lead and nonzero constant term, primitive with positive
+    leads.  The lead is carried through the lift and the recombination
+    (von zur Gathen & Gerhard, Modern Computer Algebra, Alg. 15.19)."""
+    n, lead = len(f) - 1, f[-1]
     if n <= 1:
-        return (coeffs,)
+        return [f]
 
-    # Prime selection: the reduction must stay squarefree; prefer the prime
-    # giving the fewest modular factors.
+    # Prime selection: p must not divide the lead and the reduction must
+    # stay squarefree; prefer the prime giving the fewest modular factors.
     best: tuple[int, list[list[int]]] | None = None
     seen = 0
     for p in odd_primes_from(3):
-        fp = [c % p for c in f]
+        if lead % p == 0:
+            continue
+        fp = zx_primitive([c % p for c in f], p)
         deriv = zx_trim([i * c % p for i, c in enumerate(fp) if i])
-        if not deriv or len(_pz_gcd(fp, deriv, p)) - 1 != 0:
+        if len(zx_gcd(fp, deriv, p)) != 1:
             continue
         mods = _modp_factor(fp, p)
         seen += 1
         if len(mods) == 1:
-            return (coeffs,)
+            return [f]
         if best is None or len(mods) < len(best[1]):
             best = (p, mods)
         if seen >= 3 or len(best[1]) <= 2:
@@ -286,22 +266,26 @@ def _zassenhaus_monic(coeffs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     _require(best is not None, "no prime keeps the reduction squarefree")
     p, mods = best
 
-    # Landau-Mignotte: coefficients of any monic factor are bounded by
-    # 2^n * ||f||_2, so lift until the modulus exceeds twice that.
+    # Landau-Mignotte: a factor g of f has coefficients of size at most
+    # 2^n * ||f||_2, so b*g/lc(g) for a divisor b of the lead at most lead
+    # times that; lift f/lead until the modulus exceeds twice the bound.
     norm = math.isqrt(sum(c * c for c in f)) + 1
-    target = 2 * (2**n) * norm + 1
+    target = 2 * lead * 2**n * norm + 1
     modulus = p
     while modulus < target:
         modulus *= modulus
-    lifted = _hensel_lift_tree(f, mods, p, modulus)
+    inv = pow(lead, -1, modulus)
+    lifted = _hensel_lift_tree([c * inv % modulus for c in f], mods, p, modulus)
 
-    # Recombination.  A subset is multiplied out only when two tests on its
-    # lifted factors pass (Abbott, Shoup & Zimmermann, ISSAC 2000): the
-    # product of their constant terms divides that of what remains, and the
-    # sum of their x^(d-1) coefficients, minus a sum of d <= n roots, is at
-    # most n times the Cauchy bound 1 + max |f_i| on a root.
+    # Recombination.  A subset of the lifted factors is a candidate b times
+    # their product, b the lead of what remains, and it is multiplied out
+    # only when two tests pass (Abbott, Shoup & Zimmermann, ISSAC 2000):
+    # b times the product of their constant terms divides b times that of
+    # what remains, and b times the sum of their x^(d-1) coefficients,
+    # b times a sum of d <= n roots, is at most b*n times the Cauchy bound
+    # 1 + max |f_i| on a root.
     trace_bound = n * (1 + max(abs(c) for c in f[:-1]))
-    result: list[tuple[int, ...]] = []
+    result: list[list[int]] = []
     remaining = f
     idxs = list(range(len(lifted)))
     size = 1
@@ -309,25 +293,27 @@ def _zassenhaus_monic(coeffs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         found = True
         while found:
             found = False
+            b = remaining[-1]
             for combo in itertools.combinations(idxs, size):
-                tc = _symmetric([math.prod(lifted[i][0] for i in combo)], modulus)
-                if not tc or remaining[0] % tc[0]:
+                tc = _symmetric([b * math.prod(lifted[i][0] for i in combo)], modulus)
+                if not tc or b * remaining[0] % tc[0]:
                     continue
-                trace = _symmetric([sum(lifted[i][-2] for i in combo)], modulus)
-                if trace and abs(trace[0]) > trace_bound:
+                trace = _symmetric([b * sum(lifted[i][-2] for i in combo)], modulus)
+                if trace and abs(trace[0]) > b * trace_bound:
                     continue
-                cand = _symmetric(reduce(lambda u, v: zx_mul(u, v, modulus),
-                                         (lifted[i] for i in combo)), modulus)
-                quo, rem = _monic_divmod(remaining, cand)
+                cand = zx_primitive(_symmetric(
+                    reduce(lambda u, v: zx_mul(u, v, modulus),
+                           (lifted[i] for i in combo), [b]), modulus))
+                quo, rem, _ = zx_divmod(remaining, cand)
                 if not rem:
-                    result.append(tuple(cand))
+                    result.append(cand)
                     remaining = quo
                     idxs = [i for i in idxs if i not in combo]
                     found = True
                     break
         size += 1
     if len(remaining) - 1 >= 1:
-        result.append(tuple(remaining))
-    _require(sum(len(r) - 1 for r in result) == n,
-             "recombined factor degrees do not sum to the input degree")
-    return tuple(result)
+        result.append(remaining)
+    _require(reduce(zx_mul, result) == f,
+             "recombined factors do not multiply back to the input")
+    return result

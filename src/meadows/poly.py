@@ -8,8 +8,9 @@ are immutable and hashable; the Fraction coefficients ``coeffs`` are
 derived on first read.
 
 All arithmetic runs on one integer kernel on coefficient lists, over Z or
-modulo m (``zx_*``), shared with factorization: by Gauss's lemma a product
-is one integer convolution times one rational product, a sum one
+modulo m (``zx_*``), shared with factorization, whose gcds modulo a prime
+run on the same Euclid (``zx_gcd``) as the gcd over Q: by Gauss's lemma a
+product is one integer convolution times one rational product, a sum one
 rescaling to a common denominator and one gcd, a division one
 pseudo-division over Z.
 
@@ -17,7 +18,7 @@ On top of it: monic gcd and the extended Euclidean identity, rational
 roots, squarefree parts, Lagrange interpolation in weighted-product form,
 standardized integer-over-common-denominator coefficients with a
 combinatorial oracle for them, and exact sums of a polynomial over all
-complex roots of another via Newton's identities.
+complex roots of another by one remainder.
 """
 
 from __future__ import annotations
@@ -122,6 +123,19 @@ def zx_primitive(a: list[int], m: int | None = None) -> list[int]:
         return zx_trim([c * inv % m for c in a])
     g = math.gcd(*a) if a[-1] > 0 else -math.gcd(*a)
     return a if g == 1 else [c // g for c in a]
+
+
+def zx_gcd(a, b, m: int | None = None) -> list[int]:
+    """Greatest common divisor, primitive over Z and monic modulo m; the
+    gcd of two zeros is zero.  Over Z each remainder is made primitive
+    (the primitive-remainder Euclidean algorithm) to keep growth in check."""
+    if m is not None:
+        a, b = zx_trim([c % m for c in a]), zx_trim([c % m for c in b])
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, zx_primitive(zx_divmod(a, b, m)[1], m)
+    return zx_primitive(a, m)
 
 
 # ---------------------------------------------------------------------------
@@ -417,23 +431,16 @@ def poly_sum(*ps: Poly) -> Poly:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor; gcd(0, 0) = 0.
-
-    Runs the primitive-remainder Euclidean algorithm on the integer parts
-    to keep intermediate growth in check.
-    """
+    """Monic greatest common divisor, of the integer parts by ``zx_gcd``;
+    gcd(0, 0) = 0."""
     if a.is_zero():
         return b.monic()
     if b.is_zero():
         return a.monic()
     if a.is_constant() or b.is_constant():
         return P_ONE
-    u, v = a.ints, b.ints
-    if len(u) < len(v):
-        u, v = v, u
-    while v:
-        u, v = v, zx_primitive(zx_divmod(u, v)[1])
-    return _poly(Fraction(1, u[-1]), tuple(u))
+    g = zx_gcd(a.ints, b.ints)
+    return _poly(Fraction(1, g[-1]), tuple(g))
 
 
 def poly_bezout(r: Poly, v: Poly) -> tuple[Poly, Poly, Poly]:
@@ -618,44 +625,20 @@ def appendix_oracle(b: list[Rat], a: list[Rat]) -> StdPoly:
 
 
 # ---------------------------------------------------------------------------
-# Exact sums over all complex roots (Newton's identities)
-
-
-def power_sums(r: Poly, count: int) -> list[Rat]:
-    """Power sums p_0..p_count of the complex roots of r, from its
-    coefficients via Newton's identities (no root extraction)."""
-    if r.is_constant():
-        raise ValueError("power sums need a nonconstant polynomial")
-    c = r.monic().coeffs
-    d = len(c) - 1
-    e = [Fraction(0)] * (d + 1)
-    for i in range(1, d + 1):
-        e[i] = (-1) ** i * c[d - i]
-    ps = [Fraction(d)]
-    for k in range(1, count + 1):
-        acc = Fraction(0)
-        for i in range(1, min(k - 1, d) + 1):
-            acc += (-1) ** (i - 1) * e[i] * ps[k - i]
-        if k <= d:
-            acc += (-1) ** (k - 1) * k * e[k]
-        ps.append(acc)
-    return ps
+# Exact sums over all complex roots
 
 
 def trace_sum(s: Poly, r: Poly) -> Rat:
     """Exact value of sum s(alpha) over all complex roots alpha of the
     squarefree polynomial r, as a rational number.
 
-    Reduces s modulo r first, then contracts the residue against the power
-    sums of r's roots.  Raises ValueError when r is constant, zero, or not
-    squarefree.
+    s*r'/r is a polynomial plus the sum of s(alpha)/(x - alpha), so the
+    x^(d-1) coefficient of s*r' mod r is lc(r) times the sum: one
+    remainder, no root extraction.  Raises ValueError when r is constant,
+    zero, or not squarefree.
     """
     if r.is_zero() or r.is_constant():
         raise ValueError("root sum needs a nonconstant polynomial")
     if squarefree_part(r).degree != r.degree:
         raise ValueError("polynomial must be squarefree")
-    s = s % r
-    if s.is_zero():
-        return Fraction(0)
-    ps = power_sums(r, len(s.coeffs) - 1)
-    return sum((c * ps[i] for i, c in enumerate(s.coeffs)), Fraction(0))
+    return (s * r.derivative() % r).coeff(r.degree - 1) / r.lead

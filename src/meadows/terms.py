@@ -332,11 +332,14 @@ def _skip(text: str, i: int) -> int:
 def _natural(text: str, i: int) -> tuple[int, int]:
     """The decimal natural after whitespace at i, and the position after it."""
     start = i = _skip(text, i)
-    while i < len(text) and text[i].isdigit():
+    while i < len(text) and text[i].isdecimal():  # exactly the digits int() reads
         i += 1
     if i == start:
         raise TermSyntaxError("expected a natural number", i)
-    return int(text[start:i]), i
+    try:
+        return int(text[start:i]), i
+    except ValueError:  # over the interpreter's limit on digits
+        raise TermSyntaxError(f"natural number of {i - start} digits is too long", start) from None
 
 
 def _apply(ops: list, values: list, precedence: int) -> None:
@@ -373,7 +376,7 @@ def parse(text: str) -> Term:
             depth += c == "("
             pos += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():
             n, pos = _natural(text, pos)
             values.append(ZERO if n == 0 else ONE if n == 1 else IntLit(n))
         elif c.isalpha() or c == "_":

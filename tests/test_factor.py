@@ -206,20 +206,67 @@ def _swinnerton_dyer(primes):
     return f
 
 
-def test_recombination_tests_prune_the_subset_search(monkeypatch):
+def test_recombination_tests_prune_the_subset_search(monkeypatch, cold_caches):
     # Degree-32 Swinnerton-Dyer: irreducible, with 16 modular factors, so
     # 39202 subsets; the constant-term and trace tests leave few to divide.
+    # Only recombination divides over Z (m is None) in the factor module.
     divisions = []
+    zx_divmod = factor.zx_divmod
 
     def counted(a, b, m=None):
         if m is None:
             divisions.append(None)
-        return _monic_divmod(a, b, m)
+        return zx_divmod(a, b, m)
 
-    monkeypatch.setattr(factor, "_monic_divmod", counted)
+    monkeypatch.setattr(factor, "zx_divmod", counted)
     sd32 = _swinnerton_dyer((2, 3, 5, 7, 11))
     assert factor_rationals(sd32).factors == ((sd32, 1),)
-    assert len(divisions) <= 200
+    assert 0 < len(divisions) <= 200
+
+
+def _pfsum_locus(rng):
+    """Product of 22 primitive linear factors b*x - a, one per distinct
+    pole a/b with |a| <= 40 and 1 <= b <= 6: a partial-fraction sum's
+    denominator, primitive by Gauss's lemma and far from monic."""
+    poles = set()
+    while len(poles) < 22:
+        poles.add(Fraction(rng.randint(-40, 40), rng.randint(1, 6)))
+    p = P_ONE
+    for a in poles:
+        p = p * Poly((-a.numerator, a.denominator))
+    return p
+
+
+def test_lift_modulus_grows_with_the_lead_not_its_powers(monkeypatch, cold_caches):
+    # The lift stops past the Landau-Mignotte bound times the lead; a lift
+    # of the monic lead^(n-1)*f(x/lead) would need a modulus of about
+    # n*log2(lead) bits more.
+    moduli = []
+    lift = factor._hensel_lift_tree
+
+    def spied(f, mods, p, modulus):
+        moduli.append(modulus)
+        return lift(f, mods, p, modulus)
+
+    monkeypatch.setattr(factor, "_hensel_lift_tree", spied)
+    p = _pfsum_locus(random.Random(24))
+    assert p.primitive() == p and p.lead > 10**6
+    assert len(distinct_irreducible_factors(p)) == 22
+    assert moduli and max(moduli).bit_length() <= 256
+
+
+def _eisenstein(rng, degree, lead):
+    """Dense integer polynomial with a lead prime to 3, Eisenstein at 3 and
+    so irreducible."""
+    coeffs = [3 * rng.choice((-2, -1, 1, 2))]
+    coeffs += [3 * rng.randint(-3, 3) for _ in range(degree - 1)]
+    return Poly(coeffs + [lead])
+
+
+def _large_lead(rng, degree):
+    """Random integer polynomial with small coefficients under a lead of up
+    to 2^30."""
+    return Poly([rng.randint(-99, 99) for _ in range(degree)] + [rng.randint(2, 2**30)])
 
 
 def _factor_corpus():
@@ -232,6 +279,14 @@ def _factor_corpus():
             p = p * random_int_poly(rng, 5) ** rng.randint(1, 2)
         if not p.is_constant():
             corpus.append(p)
+    # Non-monic input: leads up to 2^30, partial-fraction denominators,
+    # degree-24 loci with lead 8 and products of two non-monic irreducibles.
+    for _ in range(4):
+        corpus.append(_large_lead(rng, rng.randint(1, 6)) * _large_lead(rng, rng.randint(1, 6)))
+        corpus.append(_pfsum_locus(rng))
+        corpus.append(_eisenstein(rng, 24, 8))
+        corpus.append(_eisenstein(rng, rng.randint(2, 8), rng.choice((2, 4, 5, 7, 8)))
+                      * _eisenstein(rng, rng.randint(2, 8), rng.choice((2, 4, 5, 7, 8))))
     return corpus
 
 

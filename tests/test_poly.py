@@ -21,7 +21,6 @@ from meadows.poly import (
     lagrange_weights,
     poly_bezout,
     poly_gcd,
-    power_sums,
     rational_roots,
     squarefree_part,
     standardize,
@@ -227,6 +226,27 @@ def test_appendix_oracle_matches_expansion():
     assert check_appendix_oracle(seed=9, rounds=100).ok
 
 
+def power_sums(r: Poly, count: int) -> list[Fraction]:
+    """Oracle: power sums p_0..p_count of the complex roots of r, from its
+    coefficients via Newton's identities (no root extraction)."""
+    if r.is_constant():
+        raise ValueError("power sums need a nonconstant polynomial")
+    c = r.monic().coeffs
+    d = len(c) - 1
+    e = [Fraction(0)] * (d + 1)
+    for i in range(1, d + 1):
+        e[i] = (-1) ** i * c[d - i]
+    ps = [Fraction(d)]
+    for k in range(1, count + 1):
+        acc = Fraction(0)
+        for i in range(1, min(k - 1, d) + 1):
+            acc += (-1) ** (i - 1) * e[i] * ps[k - i]
+        if k <= d:
+            acc += (-1) ** (k - 1) * k * e[k]
+        ps.append(acc)
+    return ps
+
+
 def test_power_sums_basics():
     # roots of x^2 + 3x are 0 and -3
     assert power_sums(Poly((0, 3, 1)), 3) == [2, -3, 9, -27]
@@ -250,6 +270,22 @@ def test_trace_sum_rejects_constant_and_nonsquarefree():
         trace_sum(X, P_ONE)
     with pytest.raises(ValueError):
         trace_sum(X, Poly((0, 0, 1)))
+
+
+def test_trace_sum_matches_newton_identities():
+    # s contracted against the power sums of r's roots, on random squarefree
+    # r (monic or not, up to degree 24) and s of degree up to twice r's
+    rng = random.Random(11)
+    done = 0
+    while done < 300:
+        r = random_int_poly(rng, rng.randint(1, 24)).scale(Fraction(rng.randint(1, 9), 7))
+        if r.degree < 1 or poly_gcd(r, r.derivative()) != P_ONE:
+            continue
+        s = random_int_poly(rng, rng.randint(0, 2 * int(r.degree))).scale(
+            Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        ps = power_sums(r, max(0, len(s.coeffs) - 1))
+        assert trace_sum(s, r) == sum((c * ps[i] for i, c in enumerate(s.coeffs)), Fraction(0))
+        done += 1
 
 
 def test_trace_sum_against_floating_roots():

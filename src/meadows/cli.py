@@ -11,7 +11,9 @@ codes:
 No pass recurses on its input, so input of any depth gets one of these.
 
 Expressions are taken as one argument, or from a file with @path;
-expressions and points may start with "-".
+expressions and points may start with "-".  They are read under the
+interpreter's limit on the digits of an integer, and answers then print
+integers of any length.
 """
 
 from __future__ import annotations
@@ -34,6 +36,16 @@ def _read_expr(arg: str) -> str:
         with open(arg[1:], "r", encoding="utf-8") as handle:
             return handle.read()
     return arg
+
+
+def _read_inputs(args) -> None:
+    """Parse the terms, and read the point, in place on args, in argument
+    order."""
+    for name in ("expr", "expr2", "closed"):
+        if hasattr(args, name):
+            setattr(args, name, parse(_read_expr(getattr(args, name))))
+    if hasattr(args, "point"):
+        args.point = Fraction(args.point)
 
 
 def _model(tag: str) -> Model:
@@ -59,7 +71,7 @@ def _target_json(target) -> dict:
 
 
 def cmd_parse(args) -> int:
-    term = parse(_read_expr(args.expr))
+    term = args.expr
     if args.output == "json":
         _emit_json({"term": format_term(term), "class": classify(term).value})
     else:
@@ -69,8 +81,7 @@ def cmd_parse(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    term = parse(_read_expr(args.expr))
-    value = eval_term(term, Fraction(args.point))
+    value = eval_term(args.expr, args.point)
     if args.output == "json":
         _emit_json({"value": str(value)})
     else:
@@ -79,9 +90,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    term = parse(_read_expr(args.expr))
     model = _model(args.model)
-    nf = normalize(term, model)
+    nf = normalize(args.expr, model)
     mf = emit(nf, check=True)
     if args.output == "json":
         payload = mixed_to_json_dict(mf, model)
@@ -117,10 +127,8 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_eq(args) -> int:
-    left = parse(_read_expr(args.expr))
-    right = parse(_read_expr(args.expr2))
     model = _model(args.model)
-    witness = distinguishing_witness(left, right, model)
+    witness = distinguishing_witness(args.expr, args.expr2, model)
     equal = witness is None
     if args.output == "json":
         payload: dict = {"result": equal}
@@ -135,7 +143,7 @@ def cmd_eq(args) -> int:
 
 
 def cmd_simple(args) -> int:
-    nf = normalize(parse(_read_expr(args.expr)), Model.RAT)
+    nf = normalize(args.expr, Model.RAT)
     fraction = simple_fraction(nf)
     if fraction is not None:
         if args.output == "json":
@@ -153,11 +161,9 @@ def cmd_simple(args) -> int:
 
 
 def cmd_sumstar(args) -> int:
-    term = parse(_read_expr(args.expr))
-    closed = parse(_read_expr(args.closed))
     model = _model(args.model)
-    expected = eval_closed(closed)  # raises ValueError if not closed
-    result = finite_support_sum(term, model)
+    expected = eval_closed(args.closed)  # raises ValueError if not closed
+    result = finite_support_sum(args.expr, model)
     holds = result.value == expected
     if args.output == "json":
         _emit_json({"result": holds, "expected": str(expected),
@@ -266,7 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    limit = sys.get_int_max_str_digits()
     try:
+        _read_inputs(args)  # under the interpreter's limit on digits
+        sys.set_int_max_str_digits(0)  # answers print integers of any length
         return args.func(args)
     except TermSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -278,6 +287,8 @@ def main(argv=None) -> int:
         print(f"error: internal error: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 4
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

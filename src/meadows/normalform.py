@@ -36,8 +36,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 
 from .factor import CACHE_SIZE, distinct_irreducible_factors
-from .poly import (P_ONE, P_X, P_ZERO, Poly, poly_bezout, poly_gcd, poly_sum,
-                   squarefree_part)
+from .poly import (P_ONE, P_X, P_ZERO, Poly, poly_bezout, poly_sum,
+                   squarefree_part, zx_gcd)
 from .rationals import Rat, eval_closed, eval_term, meadow_div
 from .terms import Term, interpret
 
@@ -56,7 +56,7 @@ def _reduce(num: Poly, den: Poly) -> tuple[Poly, Poly]:
         return num, den
     if num.is_zero():
         return P_ZERO, P_ONE
-    g = poly_gcd(num, den)
+    g = _gcd(num, den)
     if g != P_ONE:
         num = num.exact_div(g)
         den = den.exact_div(g)
@@ -64,8 +64,13 @@ def _reduce(num: Poly, den: Poly) -> tuple[Poly, Poly]:
 
 
 def _gcd(a: Poly, b: Poly) -> Poly:
-    """The gcd in primitive form, the form of every locus and modulus."""
-    return poly_gcd(a, b).primitive()
+    """The gcd in primitive form, the form of every locus and modulus;
+    gcd(0, 0) = 0."""
+    if a.is_zero() or b.is_zero():
+        return (a or b).primitive()
+    if a.is_constant() or b.is_constant():
+        return P_ONE
+    return Poly.from_ints(zx_gcd(a.ints, b.ints))
 
 
 def _quo(a: Poly, b: Poly) -> Poly:
@@ -257,7 +262,7 @@ def _combine(values: tuple[NF | Poly, ...], op, unit: Poly, base) -> NF:
 def _sum_base(nfs: list[NF]) -> tuple[Poly, Poly]:
     num, den = nfs[0].num, nfs[0].den
     for nf in nfs[1:]:
-        g = poly_gcd(den, nf.den)
+        g = _gcd(den, nf.den)
         a, b = nf.den.exact_div(g), den.exact_div(g)
         num, den = num * a + nf.num * b, den * a
     return num, den

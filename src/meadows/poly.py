@@ -8,17 +8,28 @@ are immutable and hashable; the Fraction coefficients ``coeffs`` are
 derived on first read.
 
 All arithmetic runs on one integer kernel on coefficient lists, over Z or
-modulo m (``zx_*``), shared with factorization, whose gcds modulo a prime
-run on the same Euclid (``zx_gcd``) as the gcd over Q: by Gauss's lemma a
-product is one integer convolution times one rational product, a sum one
+modulo m (``zx_*``), shared with factorization: by Gauss's lemma a product
+is one integer convolution times one rational product, a sum one
 rescaling to a common denominator and one gcd, a division one
-pseudo-division over Z.
+pseudo-division over Z, and an exact division one early-exit division
+over Z.
 
-On top of it: monic gcd and the extended Euclidean identity, rational
-roots, squarefree parts, Lagrange interpolation in weighted-product form,
-standardized integer-over-common-denominator coefficients with a
-combinatorial oracle for them, and exact sums of a polynomial over all
-complex roots of another by one remainder.
+The gcd (``zx_gcd``) runs the primitive-remainder Euclid (``zx_euclid``)
+modulo a prime, as factorization needs it; over Z it first tries three
+shortcuts, each accepted only on a proof: the lower-degree input dividing
+the other (checked by exact division; a linear one that does not divide
+is coprime to it); the heuristic gcd of Char, Geddes & Gonnet, one
+integer gcd of two values read back as digits (checked by exact division,
+which for the chosen evaluation point proves the candidate is the gcd);
+and a constant gcd of the images modulo one prime dividing neither lead
+(the image of the gcd over Z divides it and keeps its degree, so the
+inputs are coprime).  Euclid over Z runs only when all three give up.
+
+On top of it: the monic gcd over Q, the extended Euclidean identity,
+rational roots, squarefree parts, Lagrange interpolation in
+weighted-product form, standardized integer-over-common-denominator
+coefficients with a combinatorial oracle for them, and exact sums of a
+polynomial over all complex roots of another by one remainder.
 """
 
 from __future__ import annotations
@@ -125,7 +136,31 @@ def zx_primitive(a: list[int], m: int | None = None) -> list[int]:
     return a if g == 1 else [c // g for c in a]
 
 
-def zx_gcd(a, b, m: int | None = None) -> list[int]:
+def zx_exact_quo(a, b) -> list[int] | None:
+    """The quotient a / b over Z when b divides a in Z[x], else None.
+
+    Long division that gives up at the first leading coefficient the lead
+    of b does not divide, so a failed test mostly costs one step.  Raises
+    ZeroDivisionError on the zero divisor."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    db, lb = len(b) - 1, b[-1]
+    if len(a) - 1 < db:
+        return None if a else []
+    rem = list(a)
+    quo = [0] * (len(a) - db)
+    for i in range(len(a) - db - 1, -1, -1):
+        c, r = divmod(rem[i + db], lb)
+        if r:
+            return None
+        if c:
+            quo[i] = c
+            for j in range(db):
+                rem[i + j] -= c * b[j]
+    return None if any(rem[:db]) else quo
+
+
+def zx_euclid(a, b, m: int | None = None) -> list[int]:
     """Greatest common divisor, primitive over Z and monic modulo m; the
     gcd of two zeros is zero.  Over Z each remainder is made primitive
     (the primitive-remainder Euclidean algorithm) to keep growth in check."""
@@ -136,6 +171,94 @@ def zx_gcd(a, b, m: int | None = None) -> list[int]:
     while b:
         a, b = b, zx_primitive(zx_divmod(a, b, m)[1], m)
     return zx_primitive(a, m)
+
+
+# The prime of the coprimality image: the largest prime below 2^30, so
+# every residue is one CPython digit and a product of two fits a machine
+# word.  Any prime is correct; a larger one is less often unlucky.
+_IMAGE_PRIME = 1073741789
+
+
+def zx_gcd(a, b, m: int | None = None) -> list[int]:
+    """Greatest common divisor, primitive over Z and monic modulo m; the
+    gcd of two zeros is zero.
+
+    Modulo m, and over Z when an input is constant or zero, this is
+    ``zx_euclid``.  Over Z three exact shortcuts run first, on the
+    primitive parts A, B with deg A >= deg B, and Euclid runs only when
+    all three give up:
+
+    1. If B divides A, B is the gcd: every common divisor divides B, and B
+       is primitive with a positive lead.  One early-exit exact division.
+       Otherwise a linear B, being primitive and so irreducible, is
+       coprime to A.
+    2. The heuristic gcd (``_heuristic_gcd``), whose candidate is accepted
+       only when it divides A and B exactly, which for its evaluation
+       points proves it is the gcd.
+    3. For a prime p dividing neither lead, the gcd of the images modulo p
+       has degree at least that of the gcd over Z, whose image it divides
+       and whose lead p does not divide: a constant image proves A and B
+       coprime.
+    """
+    if m is not None or len(a) < 2 or len(b) < 2:
+        return zx_euclid(a, b, m)
+    a, b = zx_primitive(a), zx_primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    if zx_exact_quo(a, b) is not None:
+        return list(b)
+    if len(b) == 2:  # a primitive linear B is irreducible
+        return [1]
+    g = _heuristic_gcd(a, b)
+    if g is not None:
+        return g
+    p = _IMAGE_PRIME
+    if a[-1] % p and b[-1] % p and len(zx_euclid(a, b, p)) == 1:
+        return [1]
+    return zx_euclid(a, b)
+
+
+def _heuristic_gcd(a, b) -> list[int] | None:
+    """The gcd of the primitive a and b by GCDHEU (Char, Geddes & Gonnet,
+    J. Symbolic Computation 7, 1989), or None when it gives up.
+
+    At an integer xi, gamma = gcd(a(xi), b(xi)) is one integer gcd, and
+    its symmetric xi-adic digits form G with G(xi) = gamma.  If pp(G)
+    divides a and b it divides their gcd g, say g = pp(G)*h; g(xi) divides
+    gamma = c*pp(G)(xi) with c the content of G, so h(xi) divides c, and
+    |c| <= |lead G| <= xi/2.  With xi >= 2*min(|a|, |b|) + 2 (max norms),
+    every root of a nonconstant h has absolute value below 1 + |a| and
+    1 + |b| (Cauchy), so |h(xi)| > xi/2: h is constant and pp(G) = g.
+    """
+    # The proof needs only +2; the +29 keeps xi above 30 on inputs with
+    # tiny coefficients, whose values at a small xi share spurious factors.
+    # The growth 73794/27011, about 1 + sqrt 3, is that of the published
+    # algorithm (Geddes, Czapor & Labahn, Algorithms for Computer Algebra,
+    # section 7.7): successive xi are not powers of a common base.  Six
+    # tries, as in SymPy's heuristic gcd (HEU_GCD_MAX).
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    for _ in range(6):
+        gamma = math.gcd(_zx_eval(a, xi), _zx_eval(b, xi))
+        digits, half = [], xi // 2
+        while gamma:
+            gamma, d = divmod(gamma, xi)
+            if d > half:
+                d -= xi
+                gamma += 1
+            digits.append(d)
+        g = zx_primitive(digits)
+        if zx_exact_quo(b, g) is not None and zx_exact_quo(a, g) is not None:
+            return g
+        xi = xi * 73794 // 27011
+    return None
+
+
+def _zx_eval(a, n: int) -> int:
+    """a(n) by Horner's rule."""
+    v = 0
+    for c in reversed(a):
+        v = v * n + c
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +434,13 @@ class Poly:
         return divmod(self, other)[1]
 
     def exact_div(self, other: "Poly") -> "Poly":
-        q, r = divmod(self, other)
-        if not r.is_zero():
+        """self / other when other divides self, else ValueError.  By
+        Gauss's lemma a primitive divisor of a primitive polynomial over Q
+        divides it over Z, with a primitive, positive-leading quotient."""
+        q = zx_exact_quo(self.ints, other.ints)
+        if q is None:
             raise ValueError("division is not exact")
-        return q
+        return _poly(self.content / other.content, tuple(q)) if q else P_ZERO
 
     def __call__(self, a) -> Fraction:
         """Evaluate by Horner's rule on the integer part: with a = n/d,

@@ -256,3 +256,30 @@ def test_internal_error_exits_4(capsys, monkeypatch, command, error):
     assert code == 4
     assert out == ""
     assert err == f"error: internal error: {type(error).__name__}: {error}\n"
+
+
+def _decimal(n: int) -> str:
+    """Decimal digits of the natural n, 1000 at a time, past the
+    interpreter's limit on converting integers to strings."""
+    chunks = []
+    while n:
+        n, r = divmod(n, 10**1000)
+        chunks.append(f"{r:01000d}")
+    return "".join(reversed(chunks)).lstrip("0") or "0"
+
+
+def test_answers_print_integers_of_any_length(capsys):
+    big = _decimal(2**20000)  # 6021 digits, over the interpreter's default limit
+    assert len(big) == 6021 and big.startswith("398027684")
+    code, out, err = run(capsys, "normalize", "2^20000")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == [f"{big} + 0/1", f"g = ({big})/1"]
+    code, out, err = run(capsys, "normalize", "2^20000", "--output", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["g"] == {"numerators": [big], "denominator": "1"}
+    code, out, err = run(capsys, "eval", "(1 + x)^20000", "1")
+    assert (code, out, err) == (0, f"{big}\n", "")
+    # Input keeps the limit: a natural of 5000 digits is still refused.
+    code, out, err = run(capsys, "normalize", "9" * 5000)
+    assert (code, out) == (2, "")
+    assert err == "error: natural number of 5000 digits is too long (at position 0)\n"

@@ -4,31 +4,41 @@
 computes on the integer kernel (``zx_*``).  The reference below works on
 plain lists of Fraction coefficients (index i = coefficient of x^i), with
 schoolbook formulas that share no code with the kernel.  The same seeded
-cases also run against sympy when it is installed.
+cases also run against sympy when it is installed.  The gcd over Z, whose
+shortcuts run before Euclid, is tested against the Euclid fallback
+``zx_euclid`` and against sympy.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from meadows import poly as kernel
+from meadows.normalform import Model, normalize
 from meadows.poly import (
+    P_ONE,
     P_ZERO,
     Poly,
+    lagrange_interpolate,
     poly_bezout,
     poly_gcd,
     poly_sum,
     standardize,
     zx_add,
     zx_divmod,
+    zx_euclid,
+    zx_gcd,
     zx_mul,
     zx_primitive,
     zx_sub,
     zx_trim,
 )
+from meadows.terms import parse
 
 # ---------------------------------------------------------------------------
 # The reference: Fraction lists
@@ -340,3 +350,147 @@ def test_against_sympy():
             assert (list(q.coeffs), list(r.coeffs)) == (coeffs(sq), coeffs(sr))
         sg = sympy.gcd(sa, sb)
         assert list(poly_gcd(pa, pb).coeffs) == coeffs(sg if sg.is_zero else sg.monic())
+
+
+# ---------------------------------------------------------------------------
+# The gcd over Z: three exact shortcuts before Euclid, against Euclid itself
+
+
+def _random_zx(rng: random.Random, degree: int, bits: int) -> list[int]:
+    cs = [rng.randint(-2**bits, 2**bits) for _ in range(degree)]
+    return cs + [rng.choice((-1, 1)) * rng.randint(1, 2**bits)]
+
+
+def _gcd_pairs(seed: int, count: int):
+    """Pairs with a shared factor, degrees 0 to 24, coefficients of 1 to 120
+    bits, leads of either sign and contents up to 2^20.  In pairs 1, 5, 9,
+    ... the second is a multiple of the first, of degree up to 27; in pairs
+    3, 7, 11, ... the two are equal up to their contents."""
+    rng = random.Random(seed)
+    for i in range(count):
+        d = rng.randint(0, 8)
+        common = _random_zx(rng, d, rng.randint(1, 120))
+        a = zx_mul(common, _random_zx(rng, rng.randint(0, 24 - d), rng.randint(1, 120)))
+        b = zx_mul(common, _random_zx(rng, rng.randint(0, 24 - d), rng.randint(1, 120)))
+        if i % 4 == 1:
+            b = zx_mul(a, _random_zx(rng, rng.randint(0, 3), rng.randint(1, 8)))
+        elif i % 4 == 3:
+            b = list(a)
+        yield (zx_mul(a, [rng.randint(1, 2**20)]), zx_mul(b, [rng.randint(-2**20, -1)]))
+
+
+def test_gcd_over_z_matches_euclid():
+    for a, b in _gcd_pairs(41, 600):
+        assert zx_gcd(a, b) == zx_gcd(b, a) == zx_euclid(a, b)
+
+
+def test_gcd_over_z_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    for a, b in _gcd_pairs(42, 150):
+        g = sympy.Poly(list(reversed(a)), x, domain="ZZ").gcd(
+            sympy.Poly(list(reversed(b)), x, domain="ZZ"))
+        g = g.primitive()[1]
+        expected = [int(c) for c in reversed(g.all_coeffs())]
+        assert zx_gcd(a, b) == zx_primitive(expected)
+
+
+def _poles(rng: random.Random) -> set[Fraction]:
+    """22 distinct poles a/b with |a| <= 40 and 1 <= b <= 6, as in the
+    partial-fraction sums of the benchmark."""
+    poles = set()
+    while len(poles) < 22:
+        poles.add(Fraction(rng.randint(-40, 40), rng.randint(1, 6)))
+    return poles
+
+
+def _pfsum_residue(rng: random.Random) -> tuple[Poly, Poly]:
+    """The locus and residue of the sum of b/(b*x - a) = 1/(x - q) over 22
+    poles q = a/b: the product of the b*x - a and the polynomial of degree
+    21 through the values sum_{q' != q} 1/(q - q') of the sum at its
+    poles."""
+    poles = _poles(rng)
+    locus = P_ONE
+    for q in poles:
+        locus = locus * Poly((-q.numerator, q.denominator))
+    values = lagrange_interpolate(
+        [(q, sum(1 / (q - r) for r in poles if r != q)) for q in poles])
+    return locus, values
+
+
+def _spy_euclid(monkeypatch) -> list:
+    """Record the Euclid runs over Z (modulus None) of ``zx_gcd``."""
+    runs = []
+    euclid = kernel.zx_euclid
+
+    def spied(a, b, m=None):
+        if m is None:
+            runs.append((a, b))
+        return euclid(a, b, m)
+
+    monkeypatch.setattr(kernel, "zx_euclid", spied)
+    return runs
+
+
+def test_coprimality_image_proves_what_the_heuristic_gives_up_on(monkeypatch):
+    # All six xi fail on these coprime pairs: each value of the residue
+    # shares a large smooth factor with the locus' value.
+    locus, values = _pfsum_residue(random.Random(1))
+    a, b = list(locus.ints), list(values.ints)
+    assert (len(a), len(b), max(map(abs, b)).bit_length()) == (23, 22, 551)
+    assert kernel._heuristic_gcd(a, b) is None
+    runs = _spy_euclid(monkeypatch)
+    assert zx_gcd(a, b) == zx_gcd(b, a) == [1]
+    assert runs == []
+    assert kernel.zx_euclid(a, b) == [1]
+
+
+def test_heuristic_give_up_reaches_euclid(monkeypatch):
+    monkeypatch.setattr(kernel, "_heuristic_gcd", lambda a, b: None)
+    runs = _spy_euclid(monkeypatch)
+    common = [5, -3, 7]
+    a, b = zx_mul(common, [1, 2, 9]), zx_mul(common, [4, -1, 1, 2])
+    assert zx_gcd(a, b) == common and len(runs) == 1
+
+
+def test_image_step_is_skipped_when_the_prime_divides_a_lead(monkeypatch):
+    # Modulo p the common factor p*x + 1 becomes the constant 1, so the
+    # images (x + 1, x + 2) are coprime although a and b are not.
+    p = kernel._IMAGE_PRIME
+    a, b = zx_mul([1, p], [1, 1]), zx_mul([1, p], [2, 1])
+    assert kernel.zx_euclid(a, b, p) == [1]
+    monkeypatch.setattr(kernel, "_heuristic_gcd", lambda a, b: None)
+    runs = _spy_euclid(monkeypatch)
+    assert zx_gcd(a, b) == [1, p] and len(runs) == 1
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_partial_fraction_sums_never_run_euclid_over_z(monkeypatch, cold_caches, model):
+    text = " + ".join(f"{q.denominator}/({q.denominator}*x - ({q.numerator}))"
+                      for q in sorted(_poles(random.Random(1))))
+    runs = _spy_euclid(monkeypatch)
+    nf = normalize(parse(text), model)
+    assert nf.den.degree == 22 and runs == []
+
+
+def _timed_gcd(a, b) -> tuple[list[int], float]:
+    start = time.perf_counter()
+    g = zx_gcd(a, b)
+    return g, time.perf_counter() - start
+
+
+def test_dense_degree_200_coprime_pair_is_fast():
+    # The primitive-remainder Euclid took about 30 s on this pair.
+    rng = random.Random(43)
+    g, seconds = _timed_gcd(_random_zx(rng, 200, 64), _random_zx(rng, 200, 64))
+    assert g == [1] and seconds < 2
+
+
+def test_degree_200_pair_with_a_degree_100_common_factor_is_fast():
+    # The primitive-remainder Euclid took about 10 s on this pair.
+    rng = random.Random(44)
+    common = _random_zx(rng, 100, 64)
+    a = zx_mul(common, _random_zx(rng, 100, 64))
+    b = zx_mul(common, _random_zx(rng, 100, 64))
+    g, seconds = _timed_gcd(a, b)
+    assert g == zx_primitive(common) and seconds < 2

@@ -194,8 +194,11 @@ def check_factor_reconstruction(seed: int = 0, rounds: int = 200) -> CheckResult
 
 
 def check_rational_roots_oracle(seed: int = 0, rounds: int = 100) -> CheckResult:
-    """rational_roots agrees with brute force over all theorem candidates."""
-    from .ints import divisors
+    """rational_roots agrees with brute force over all theorem candidates
+    and with the linear factors from factoring."""
+
+    def divisors(n: int) -> list[int]:  # n is a coefficient, small
+        return [d for d in range(1, n + 1) if n % d == 0]
 
     rng = random.Random(seed)
     for _ in range(rounds):

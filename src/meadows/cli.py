@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -44,7 +45,12 @@ def _read_inputs(args) -> None:
     for name in ("expr", "expr2", "closed"):
         if hasattr(args, name):
             setattr(args, name, parse(_read_expr(getattr(args, name))))
-    if hasattr(args, "point"):
+    if hasattr(args, "point"):  # past the limit: our message, not the advice to raise it
+        digits = max(map(len, re.findall(r"\d+", args.point.replace("_", ""))), default=0)
+        limit = sys.get_int_max_str_digits()
+        if 0 < limit < digits:
+            raise ValueError(f"point has a number of {digits} digits, over the "
+                             f"limit of {limit}")
         args.point = Fraction(args.point)
 
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .mixed import _coeff_poly_term
-from .factor import _order_key, distinct_irreducible_factors
-from .normalform import Model, NF, _gcd, _quo, eval_closed, normalize, root
+from .factor import _order_key
+from .normalform import Model, NF, _gcd, _quo, eval_closed, loci, normalize, root
 from .poly import P_ONE, Poly, trace_sum
 from .rationals import Rat
 from .terms import Div, Term
@@ -77,13 +77,14 @@ def distinguishing_witness(s: Term, t: Term, model: Model):
     if (nf1.num, nf1.den) != (nf2.num, nf2.den):
         return _base_witness(nf1, nf2)
     # Residues are compared on the coprime parts g = gcd(R1, R2), R1/g and
-    # R2/g of the lcm, not modulo all of it; the differing part is factored.
+    # R2/g of the lcm, not modulo all of it; the differing part is split
+    # into its loci.
     g = _gcd(nf1.locus, nf2.locus)
     parts = (g, _quo(nf1.locus, g), _quo(nf2.locus, g))
     left, right = (nf.value_mod(parts[0] * parts[1] * parts[2]) for nf in (nf1, nf2))
     keep = [_quo(m, _gcd(m, left - right)) for m in parts]
     differing = [(r, left % r, right % r)
-                 for r in distinct_irreducible_factors(keep[0] * keep[1] * keep[2])]
+                 for r in loci(keep[0] * keep[1] * keep[2], model)]
     if not differing:
         raise AssertionError("unequal normal forms must differ somewhere")
     if model is Model.RAT:

@@ -22,9 +22,8 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
-from .ints import odd_primes_from
-from .poly import (CACHE_SIZE, P_ONE, P_X, Poly, squarefree_part, zx_add, zx_divmod,
-                   zx_gcd, zx_mul, zx_primitive, zx_sub, zx_trim)
+from .poly import (CACHE_SIZE, P_ONE, P_X, Poly, odd_primes_from, squarefree_part,
+                   zx_add, zx_divmod, zx_gcd, zx_mul, zx_primitive, zx_sub, zx_trim)
 from .rationals import Rat
 
 

@@ -20,7 +20,7 @@ in every meadow of characteristic zero in which n is cancellable.
 again: exact polynomial identities prove that the rendered term takes the
 normal form's value everywhere on the model's carrier (``certify``).
 Nothing is factored, except for the per-locus diagnostics
-``MixedFraction.targets``.
+``MixedFraction.targets`` over C.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 
-from .factor import distinct_irreducible_factors
-from .normalform import NF, Model, crt, normalize, quotient_inv, root
+from .normalform import NF, Model, crt, loci, normalize, quotient_inv, root
 from .poly import P_ONE, P_X, P_ZERO, Poly, StdPoly, poly_sum, standardize
 from .rationals import Rat
 from .terms import (
@@ -130,7 +129,7 @@ class MixedFraction:
 
     @cached_property
     def targets(self) -> tuple:
-        """Emission diagnostics; factors the support."""
+        """Emission diagnostics; splits the support into its loci."""
         return _targets(*self.source) if self.source else ()
 
 
@@ -152,20 +151,20 @@ def _emit_from_parts(nf: NF, g: Poly, support: Poly) -> MixedFraction:
 
 
 def _targets(nf: NF, support: Poly) -> tuple:
-    """Per-locus view of an emission: each irreducible factor r of the
+    """Per-locus view of an emission: each of the ``loci`` r of the
     support E, its target v (the residue on the locus, else 0) and the
     coefficient v * (E/r)^{-1} mod r of E/r in the patch polynomial.  Over
     C one LocusTarget per locus; over Q one PointTarget per point, sorted,
     weighted for the monic node product prod_{j != i} (x - a_j)."""
-    loci = distinct_irreducible_factors(support)
-    values = [nf.residue % r if (nf.locus % r).is_zero() else P_ZERO for r in loci]
+    rs = loci(support, nf.model)
+    values = [nf.residue % r if (nf.locus % r).is_zero() else P_ZERO for r in rs]
     coefficients = [(v * quotient_inv(support.exact_div(r) % r, r)) % r
-                    if v else P_ZERO for r, v in zip(loci, values)]
+                    if v else P_ZERO for r, v in zip(rs, values)]
     if nf.model is Model.COMPLEX:
-        return tuple(LocusTarget(*t) for t in zip(loci, values, coefficients))
-    leads = reduce(operator.mul, (r.lead for r in loci), Fraction(1))
+        return tuple(LocusTarget(*t) for t in zip(rs, values, coefficients))
+    leads = reduce(operator.mul, (r.lead for r in rs), Fraction(1))
     return tuple(sorted((PointTarget(root(r), v.coeff(0), c.coeff(0) * leads / r.lead)
-                         for r, v, c in zip(loci, values, coefficients)),
+                         for r, v, c in zip(rs, values, coefficients)),
                         key=lambda t: t.point))
 
 

@@ -11,13 +11,17 @@ Neumann regular and itself a meadow: the inverse of a residue a is 0 on the
 roots of gcd(a, R) and a^{-1} on the others (``quotient_inv``).  So one
 residue modulo one R carries every correction, and normalization never
 splits R into irreducibles (D5 dynamic evaluation, Della Dora, Dicrescenzo
-& Duval, EUROCAL 1985).  The models differ only in ``NF.support``.
+& Duval, EUROCAL 1985).  The models differ only in ``loci``: over C all
+irreducible factors, by factoring, over Q the linear factors of the
+rational roots, found p-adically (``poly.rational_roots``).  So over Q
+nothing is factored, and over C ``NF.support`` needs no loci.
 
 The form is canonical: the base is reduced with a primitive, positive-
 leading denominator, R holds exactly the points where the value differs
 from the base's (``_make``) and deg S < deg R, so structural equality
 coincides with semantic equality.  The per-locus views ``corrections`` and
-``exceptions`` factor R on first read; only output and the checks use them.
+``exceptions`` split R into its ``loci`` on first read; only output and
+the checks use them.
 
 Normalization interprets the term (``terms.interpret``) over polynomials
 and normal forms: division-free subterms stay ``Poly`` values (x^k is a
@@ -35,8 +39,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 
-from .factor import CACHE_SIZE, distinct_irreducible_factors
-from .poly import (P_ONE, P_X, P_ZERO, Poly, poly_bezout, poly_sum,
+from .factor import CACHE_SIZE, _order_key, distinct_irreducible_factors
+from .poly import (P_ONE, P_X, P_ZERO, Poly, poly_bezout, poly_sum, rational_roots,
                    squarefree_part, zx_gcd)
 from .rationals import Rat, eval_closed, eval_term, meadow_div
 from .terms import Term, interpret
@@ -83,6 +87,17 @@ def _quo(a: Poly, b: Poly) -> Poly:
 def root(locus: Poly) -> Rat:
     """The rational point at which a linear locus vanishes."""
     return Fraction(-locus.ints[0], locus.ints[1])
+
+
+def loci(p: Poly, model: Model) -> tuple[Poly, ...]:
+    """The distinct irreducible factors of p whose roots are points of the
+    model's carrier, canonically ordered: over C all of them, by
+    factoring; over Q the linear factor m*x - n of each rational root n/m,
+    without factoring.  The one place the model is consulted."""
+    if model is Model.COMPLEX:
+        return distinct_irreducible_factors(p)
+    return tuple(sorted((Poly.from_ints((-a.numerator, a.denominator))
+                         for a in rational_roots(p)), key=_order_key))
 
 
 def crt(a: Poly, m: Poly, b: Poly, n: Poly) -> Poly:
@@ -139,24 +154,22 @@ class NF:
     @property
     def support(self) -> Poly:
         """lcm of the locus and the candidate part of den: every point
-        where the value may differ from num/den.  The one place the model
-        is consulted: the candidate part is the squarefree part of den over
-        C (no factoring), its linear factors off the locus over Q."""
+        where the value may differ from num/den.  The candidate part is the
+        squarefree part of den off the locus, over Q only the product of
+        its ``loci``; neither model factors."""
         if self.den.is_constant():
             return self.locus
         rest = self.den if self.den.degree == 1 else squarefree_part(self.den)
         rest = _quo(rest, _gcd(rest, self.locus))
         if self.model is Model.RAT and rest.degree > 1:
-            rest = reduce(operator.mul, (r for r in distinct_irreducible_factors(rest)
-                                         if r.degree == 1), P_ONE)
+            rest = reduce(operator.mul, loci(rest, self.model), P_ONE)
         return self.locus * rest
 
     @cached_property
     def corrections(self) -> tuple[tuple[Poly, Poly], ...]:
-        """Per-locus view: (r, residue mod r) for each irreducible factor r
-        of the locus, ordered by degree then coefficients."""
-        return tuple((r, self.residue % r)
-                     for r in distinct_irreducible_factors(self.locus))
+        """Per-locus view: (r, residue mod r) for each of the ``loci`` r of
+        the locus, ordered by degree then coefficients."""
+        return tuple((r, self.residue % r) for r in loci(self.locus, self.model))
 
     @property
     def exceptions(self) -> tuple[tuple[Rat, Rat], ...]:

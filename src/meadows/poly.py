@@ -30,6 +30,11 @@ rational roots, squarefree parts, Lagrange interpolation in
 weighted-product form, standardized integer-over-common-denominator
 coefficients with a combinatorial oracle for them, and exact sums of a
 polynomial over all complex roots of another by one remainder.
+
+Rational roots are read p-adically, without factoring: a root n/m of the
+squarefree part f has m | lead and n | const, so lead*n/m is an integer
+of size at most |lead*const|, equal to the symmetric residue of lead
+times the root lifted modulo a prime power past twice that bound.
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .ints import divisors
 from .rationals import Rat
 
 NEG_INFINITY = float("-inf")
@@ -595,24 +599,61 @@ def poly_bezout(r: Poly, v: Poly) -> tuple[Poly, Poly, Poly]:
 # Rational roots
 
 
-def rational_roots(p: Poly) -> set[Rat]:
-    """All rational zeros of p, by the rational-root theorem.
+def odd_primes_from(start: int):
+    """Yield the odd primes >= start, ascending, by trial division: every
+    prime asked for is small."""
+    n = max(3, start | 1)
+    while True:
+        if all(n % d for d in range(3, math.isqrt(n) + 1, 2)):
+            yield n
+        n += 2
 
-    Works on the primitive integer form: every nonzero root n/m (in lowest
-    terms) has n dividing the lowest nonzero coefficient and m dividing the
-    leading one.  Each candidate is verified exactly.  Raises ValueError on
-    the zero polynomial.
+
+@lru_cache(maxsize=CACHE_SIZE)
+def rational_roots(p: Poly) -> frozenset[Rat]:
+    """All rational zeros of p, read p-adically, without factoring.
+    Raises ValueError on the zero polynomial.  Memoized: the rational
+    model asks for the roots of the same supports and loci again and
+    again.
+
+    Let f be the squarefree part of p without its factor x: primitive,
+    with lead l and constant term c != 0.  A root n/m of f in lowest terms
+    has m | l and n | c (the rational-root theorem), so l*n/m is an
+    integer of absolute value at most |l*c|.  Let q be the first odd prime
+    that does not divide l and keeps f squarefree modulo q.  Then n/m is a
+    simple root of f modulo q, and distinct rational roots stay distinct
+    modulo q.  Newton's iteration lifts a simple root modulo q to the
+    unique root r of f modulo M = q^(2^k) above it, so r = n/m modulo M.
+    Once M > 2*|l*c|, the symmetric residue of l*r modulo M is l*n/m
+    itself.  Lifting every root of f modulo q and reading it back this
+    way yields every rational root among the candidates, and each
+    candidate is kept only if p vanishes there exactly.
     """
     if p.is_zero():
         raise ValueError("the zero polynomial vanishes everywhere")
-    cs = p.ints
-    low = next(i for i, c in enumerate(cs) if c)  # x^low divides p
-    roots = {Fraction(0)} if low else set()
-    for n in divisors(abs(cs[low])):
-        for m in divisors(cs[-1]):
-            if math.gcd(n, m) == 1:
-                roots.update(a for a in (Fraction(n, m), Fraction(-n, m)) if not p(a))
-    return roots
+    roots = {Fraction(0)} if p.ints[0] == 0 else set()
+    f = squarefree_part(p).ints
+    f = f[1:] if f[0] == 0 else f  # f is squarefree: x divides it at most once
+    if len(f) < 2:
+        return frozenset(roots)
+    df = [i * c for i, c in enumerate(f) if i]
+    lead = f[-1]
+    q = next(q for q in odd_primes_from(3)
+             if lead % q and len(zx_euclid(f, df, q)) == 1)
+    bound = 2 * abs(lead * f[0])
+    fq = [c % q for c in f]
+    for r in range(q):
+        if _zx_eval(fq, r) % q:
+            continue
+        m = q
+        while m <= bound:
+            m *= m
+            r = (r - _zx_eval(f, r) * pow(_zx_eval(df, r), -1, m)) % m
+        a = lead * r % m
+        a = Fraction(a - m if a > m // 2 else a, lead)
+        if not p(a):
+            roots.add(a)
+    return frozenset(roots)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

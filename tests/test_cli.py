@@ -1,11 +1,16 @@
 import json
+import random
+import time
 
 import pytest
 
-from meadows import cli
+from meadows import cli, factor
 from meadows.cli import main
 from meadows.factor import FactorizationError
+from meadows.generate import random_term
 from meadows.mixed import EmissionError
+from meadows.terms import format_term
+from test_factor import _swinnerton_dyer
 
 EXAMPLE2 = "1/(x^2+3*x) + (2*x+5)/(x^5+1) + (x^3+2)/(3*x^2-7)"
 
@@ -55,6 +60,13 @@ def test_eval_x_over_x_at_zero(capsys):
 def test_eval_bad_point(capsys):
     code, _, err = run(capsys, "eval", "x", "one")
     assert code == 2
+
+
+@pytest.mark.parametrize("point", ["9" * 5000, "1/" + "9" * 5000, "-0." + "9" * 5000])
+def test_eval_point_over_the_digit_limit_is_malformed_input(capsys, point):
+    code, out, err = run(capsys, "eval", "x", point)
+    assert (code, out) == (2, "")
+    assert err == "error: point has a number of 5000 digits, over the limit of 4300\n"
 
 
 def test_normalize_example2_text_report(capsys):
@@ -283,3 +295,58 @@ def test_answers_print_integers_of_any_length(capsys):
     code, out, err = run(capsys, "normalize", "9" * 5000)
     assert (code, out) == (2, "")
     assert err == "error: natural number of 5000 digits is too long (at position 0)\n"
+
+
+# ---------------------------------------------------------------------------
+# The rational model never factors: it reads rational roots p-adically
+
+
+def _q_runs(text: str, other: str) -> list[list[str]]:
+    return [["normalize", text], ["normalize", "--dump-nf", text],
+            ["normalize", "--dump-nf", "--output", "json", text],
+            ["eq", text, other], ["simple", text], ["sumstar", text, "0"]]
+
+
+def _sd_texts(primes) -> list[tuple[str, str]]:
+    """1/SD + 1 and 1 - SD/SD, each with a term of equal base that differs
+    from it at x = 2 only, so that ``eq`` reports a point witness found on
+    the loci."""
+    sd = _swinnerton_dyer(primes)
+    blip = " + 1 - (x-2)/(x-2)"
+    return [(f"1/({sd}) + 1", f"1/({sd}) + 1{blip}"),
+            (f"1 - ({sd})/({sd})", f"1 - ({sd})/({sd}){blip}")]
+
+
+@pytest.fixture
+def no_factoring(monkeypatch, cold_caches):
+    def fail(f):
+        raise AssertionError(f"the rational model factored {f}")
+
+    monkeypatch.setattr(factor, "_zassenhaus", fail)
+
+
+def test_rational_model_commands_never_factor(capsys, no_factoring):
+    rng = random.Random(181)
+    pairs = _sd_texts((2, 3, 5, 7, 11))
+    while len(pairs) < 32:
+        pairs.append((format_term(random_term(rng, depth=5)),
+                      format_term(random_term(rng, depth=5))))
+    witnesses = 0
+    for text, other in pairs:
+        for argv in _q_runs(text, other):
+            code, out, err = run(capsys, *argv)
+            assert code in (0, 1) and out and not err, (argv, err)
+            witnesses += argv[0] == "eq" and code == 1
+    assert witnesses >= 2
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["1/SD64+1", "1-SD64/SD64"])
+def test_rational_model_answers_on_sd64_in_under_a_second(capsys, cold_caches, index):
+    text, other = _sd_texts((2, 3, 5, 7, 11, 13))[index]
+    for argv in _q_runs(text, other):
+        for cache in cold_caches:
+            cache.cache_clear()
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv[:2]
+        assert code in (0, 1) and out and not err

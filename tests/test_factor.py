@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -14,11 +15,16 @@ from meadows.factor import (
     factor_rationals,
 )
 from meadows.generate import random_int_poly
-from meadows.ints import divisors
 from meadows.normalform import NF, Model, root
 from meadows.poly import P_ONE, Poly, lagrange_interpolate
 
 X = Poly((0, 1))
+
+
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n >= 1, ascending, by trial division."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted({*small, *(n // d for d in small)})
 
 
 def kronecker_factor(p: Poly) -> Poly | None:

@@ -1,5 +1,7 @@
+import operator
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -18,6 +20,7 @@ from meadows.normalform import (
     Model,
     eval_term,
     eval_term_mod,
+    loci,
     nf_add,
     nf_inv,
     nf_mul,
@@ -28,6 +31,7 @@ from meadows.normalform import (
 from meadows.poly import P_ONE, P_ZERO, Poly, poly_bezout, poly_gcd
 from meadows.terms import (
     Add,
+    Div,
     IntLit,
     Mul,
     Neg,
@@ -221,6 +225,21 @@ def test_correction_invariants():
             assert s.is_zero() or s.degree < r.degree
             # locus irreducibility: evaluating the term modulo r succeeds
             assert eval_term_mod(t, r) == s
+
+
+def test_rational_loci_multiply_back_to_locus_and_support():
+    # Over Q every locus and every support is a product of distinct linear
+    # factors, so the loci read p-adically rebuild it, in factor order.
+    rng = random.Random(35)
+    for _ in range(300):
+        t = Add(random_term(rng, depth=6),
+                Div(random_term(rng, depth=3), random_term(rng, depth=3)))
+        nf = normalize(t, Model.RAT)
+        for p in (nf.locus, nf.support):
+            rs = loci(p, Model.RAT)
+            assert all(r.degree == 1 for r in rs)
+            assert reduce(operator.mul, rs, P_ONE) == p
+            assert rs == normalform.distinct_irreducible_factors(p)
 
 
 def test_soundness_spec_scale():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,7 +10,9 @@ from meadows.checks import (
     check_lagrange,
     check_rational_roots_oracle,
 )
+from meadows.factor import distinct_irreducible_factors
 from meadows.generate import random_int_poly
+from meadows.normalform import root
 from meadows.poly import (
     NEG_INFINITY,
     P_ONE,
@@ -128,6 +131,80 @@ def test_rational_roots_rejects_zero():
 
 def test_rational_roots_oracle_property():
     assert check_rational_roots_oracle(seed=6, rounds=100).ok
+
+
+def _root_shape(rng: random.Random, bits: int) -> tuple[Poly, set]:
+    """A polynomial built with up to 6 rational roots, each of
+    multiplicity up to 3, sometimes a power of x and a further integer
+    factor, rational content of either sign, numerators up to 2^bits; and
+    the roots it was built with."""
+    p = Poly.constant(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)))
+    roots = set()
+    for _ in range(rng.randint(0, 6)):
+        a = Fraction(rng.randint(-2**bits, 2**bits), rng.randint(1, 2**(bits // 2 + 1)))
+        roots.add(a)
+        p = p * Poly((-a, 1)) ** rng.randint(1, 3)
+    if rng.random() < 0.3:
+        roots.add(Fraction(0))
+        p = p * Poly.x(rng.randint(1, 3))
+    if rng.random() < 0.5:
+        p = p * random_int_poly(rng, 4, 2**bits)
+    return p, roots
+
+
+def _divisor_search(p: Poly) -> set:
+    """Rational roots by the rational-root theorem: every candidate n/m
+    with n dividing the constant term and m the lead of the squarefree
+    part without its factor x."""
+    def divisors(n):
+        small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+        return {*small, *(n // d for d in small)}
+
+    f = squarefree_part(p).ints
+    found = {Fraction(0)} if f[0] == 0 else set()
+    f = f[1:] if f[0] == 0 else f
+    if len(f) > 1:
+        found |= {a for n in divisors(abs(f[0])) for m in divisors(f[-1])
+                  for a in (Fraction(n, m), Fraction(-n, m)) if not p(a)}
+    return found
+
+
+def _factored_roots(p: Poly) -> set:
+    return {root(r) for r in distinct_irreducible_factors(p) if r.degree == 1}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rational_roots_match_divisor_search_and_factoring(seed):
+    rng = random.Random(700 + seed)
+    for _ in range(80):
+        p, roots = _root_shape(rng, 3)
+        got = rational_roots(p)
+        assert roots <= got == _divisor_search(p) == _factored_roots(p), p
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rational_roots_match_factoring_on_40_bit_coefficients(seed):
+    rng = random.Random(710 + seed)
+    for _ in range(80):
+        p, roots = _root_shape(rng, 40)
+        assert roots <= rational_roots(p) == _factored_roots(p), p
+
+
+def test_rational_roots_stay_distinct_past_the_small_primes():
+    # Every odd prime up to 41 sends two of the 41 roots to one residue.
+    p = P_ONE
+    for k in range(-20, 21):
+        p = p * Poly((-k, 1))
+    assert rational_roots(p) == {Fraction(k) for k in range(-20, 21)}
+    assert rational_roots(p * Poly((-1, 3)) ** 2 * Poly((2, 0, 1))) == (
+        {Fraction(k) for k in range(-20, 21)} | {Fraction(1, 3)})
+
+
+def test_rational_roots_of_constants_and_memo():
+    assert rational_roots(Poly.constant(Fraction(-3, 2))) == frozenset()
+    assert rational_roots(Poly.x(5)) == {Fraction(0)}
+    p = Poly((-5, 7, 6)) ** 2
+    assert rational_roots(p) is rational_roots(p)
 
 
 def test_squarefree_part_of_square():

@@ -17,7 +17,9 @@ justified by the single cancellation n/n = 1, so the emitted equality holds
 in every meadow of characteristic zero in which n is cancellable.
 
 ``emit(nf, check=True)`` certifies its output instead of normalizing it
-again: exact polynomial identities prove that the rendered term takes the
+again: each rendered part is read back in the renderer's own grammar, a
+sum of monomials with literal coefficients (``terms.monomial_sum``), and
+exact polynomial identities prove that the rendered term takes the
 normal form's value everywhere on the model's carrier (``certify``).
 Nothing is factored, except for the per-locus diagnostics
 ``MixedFraction.targets`` over C.
@@ -31,7 +33,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 
 from .normalform import NF, Model, crt, loci, normalize, quotient_inv, root
-from .poly import P_ONE, P_X, P_ZERO, Poly, StdPoly, poly_sum, standardize
+from .poly import P_ONE, P_ZERO, Poly, StdPoly, standardize
 from .rationals import Rat
 from .terms import (
     Add,
@@ -45,7 +47,7 @@ from .terms import (
     X,
     ZERO,
     format_term,
-    interpret,
+    monomial_sum,
 )
 
 
@@ -190,17 +192,15 @@ def emit(nf: NF, check: bool = False) -> MixedFraction:
 
 
 def _read_back(t: Term) -> Poly:
-    """The polynomial a rendered part denotes.  A constant divisor inverts
-    as a rational (0 to 0, as in a meadow); a nonconstant one has no place
-    in a rendered part."""
-
-    def inv(p: Poly) -> Poly:
-        if not p.is_constant():
-            raise EmissionError(f"rendered part divides by {p}")
-        return Poly.constant(1 / p.content) if p else P_ZERO
-
-    return interpret(t, Poly.constant, lambda: P_X, operator.neg, poly_sum,
-                     lambda *v: reduce(operator.mul, v), inv)
+    """The polynomial a rendered part denotes, read by ``monomial_sum`` in
+    the one shape the renderer writes; anything else, a division by a
+    polynomial included, raises EmissionError."""
+    read = monomial_sum(t)
+    if read is None:
+        if type(t) is Div:
+            raise EmissionError(f"rendered part divides by {format_term(t.den)}")
+        raise EmissionError("rendered part is not a sum of monomials")
+    return Poly.from_ints(*read)
 
 
 def certify(nf: NF, mf: MixedFraction) -> None:
@@ -208,10 +208,11 @@ def certify(nf: NF, mf: MixedFraction) -> None:
     value of nf everywhere on the model's carrier.
 
     The rendering ``mf.term`` must read back as P + N/D with polynomials
-    P, N and D (divisions inside a part by constants only), so rendering
-    is covered.  Let S be the residue of nf on its locus R, E the support
-    and A = E/R, which divides the candidate part of den and is coprime to
-    R.  The certificate is three exact identities:
+    P, N and D, each part a sum of monomials as the renderer writes them
+    (``_read_back``), so rendering is covered.  Let S be the residue of nf
+    on its locus R, E the support and A = E/R, which divides the candidate
+    part of den and is coprime to R.  The certificate is three exact
+    identities:
 
       (a) (P*D + N) * den = num * D;
       (b) D = c * den * E for a nonzero rational c;

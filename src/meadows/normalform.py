@@ -24,11 +24,14 @@ coincides with semantic equality.  The per-locus views ``corrections`` and
 the checks use them.
 
 Normalization interprets the term (``terms.interpret``) over polynomials
-and normal forms: division-free subterms stay ``Poly`` values (x^k is a
-chain of monomial shifts), a value becomes an ``NF`` only when a division
-reaches it, a whole sum or product chain is one operation, and no step
-recurses, so terms of any depth normalize.  Each quotient-ring inverse is
-computed once per process, in a bounded cache like the factor caches.
+and normal forms: division-free subterms stay ``Poly`` values, a value
+becomes an ``NF`` only when a division reaches it, a whole sum or product
+chain is one operation, and no step recurses, so terms of any depth
+normalize.  A sum of monomials c*x^k with literal coefficients, as input
+polynomials are written, is read at once into one ``Poly``
+(``terms.monomial_sum``); any other x^k is a chain of monomial shifts.
+Each quotient-ring inverse is computed once per process, in a bounded
+cache like the factor caches.
 """
 
 from __future__ import annotations
@@ -93,7 +96,10 @@ def loci(p: Poly, model: Model) -> tuple[Poly, ...]:
     """The distinct irreducible factors of p whose roots are points of the
     model's carrier, canonically ordered: over C all of them, by
     factoring; over Q the linear factor m*x - n of each rational root n/m,
-    without factoring.  The one place the model is consulted."""
+    without factoring.  The one place the model is consulted.  A linear p
+    is its own locus in both models."""
+    if p.degree == 1:
+        return (p.primitive(),)
     if model is Model.COMPLEX:
         return distinct_irreducible_factors(p)
     return tuple(sorted((Poly.from_ints((-a.numerator, a.denominator))
@@ -323,7 +329,8 @@ def eval_term_mod(t: Term, r: Poly) -> Poly:
     return interpret(t, lambda n: Poly.constant(n) % r, lambda: P_X % r,
                      operator.neg, lambda *v: poly_sum(*v) % r,
                      lambda *v: reduce(lambda a, b: (a * b) % r, v),
-                     lambda a: quotient_inv(a, r))
+                     lambda a: quotient_inv(a, r),
+                     lambda nums, den: Poly.from_ints(nums, den) % r)
 
 
 def normalize(t: Term, model: Model) -> NF:
@@ -357,7 +364,7 @@ def normalize(t: Term, model: Model) -> NF:
             return Poly.constant(1 / v.content) if v else P_ZERO
         return nf_inv(NF(model, v, P_ONE))
 
-    out = interpret(t, Poly.constant, lambda: P_X, neg, add, mul, inv)
+    out = interpret(t, Poly.constant, lambda: P_X, neg, add, mul, inv, Poly.from_ints)
     return out if type(out) is NF else NF(model, out, P_ONE)
 
 

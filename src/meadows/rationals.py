@@ -57,5 +57,7 @@ def _not_closed() -> Rat:
 
 
 def _eval(t: Term, var) -> Rat:
+    # Node by node, without interpret's reader of monomial sums: a closed
+    # term must reach var() even where the variable cancels, as in x - x.
     return interpret(t, Fraction, var, operator.neg, lambda *v: sum(v, RAT_ZERO),
                      lambda *v: reduce(operator.mul, v), meadow_inv)

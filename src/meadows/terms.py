@@ -12,11 +12,18 @@ Every traversal but printing, equality and hashing is one post-order
 value in a meadow.  Those three keep their own stacks, and the parser is
 one operator-precedence loop over a stack of pending operators, so nothing
 recurses on a term's depth.
+
+Polynomials are read in one pass where they are written as sums of
+monomials: ``monomial_sum`` reads a chain ``c*x^k + ...`` with literal or
+literal-quotient coefficients into integer numerators over one common
+denominator, and ``interpret`` hands such a chain over as one value
+instead of folding it node by node.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -142,7 +149,7 @@ class TermSyntaxError(ValueError):
 _LEAVES = frozenset((Zero, One, IntLit, Var))
 
 
-def fold(t: Term, leaf, node):
+def fold(t: Term, leaf, node, chain=None):
     """Post-order fold of t over an explicit stack, so term depth is bounded
     by memory, not by the recursion limit.
 
@@ -152,6 +159,12 @@ def fold(t: Term, leaf, node):
     the chain along its left spine, so Add(Add(a, b), c) hands over three
     values and a Neg summand is one operand.  Rebuilding the values
     left-associatively gives back u.
+
+    ``chain(u)``, when given, is tried first on the top Add node of each
+    sum chain; a value other than None is the value of the whole chain,
+    and None folds the chain as above.  Every Add node lies on exactly one
+    chain, so a ``chain`` that stops at the first summand it cannot take
+    keeps the fold linear.
     """
     values: list = []
     todo: list = [t]
@@ -163,12 +176,14 @@ def fold(t: Term, leaf, node):
             values[-n:] = [node(u, values[-n:])]
         elif kind in _LEAVES:
             values.append(leaf(u))
+        elif kind is Add and chain and (value := chain(u)) is not None:
+            values.append(value)
         elif kind is Add or kind is Mul:
-            chain, v = [], u
+            rights, v = [], u
             while type(v) is kind:
-                chain.append(v.right)
+                rights.append(v.right)
                 v = v.left
-            todo += [(u, len(chain) + 1), *chain, v]
+            todo += [(u, len(rights) + 1), *rights, v]
         elif kind is Div:
             todo += [(u, 2), u.den, u.num]
         elif kind is Neg:
@@ -180,11 +195,14 @@ def fold(t: Term, leaf, node):
     return values[0]
 
 
-def interpret(t: Term, const, var, neg, add, mul, inv):
+def interpret(t: Term, const, var, neg, add, mul, inv, poly=None):
     """Value of t in a meadow given by its operations, through ``fold``:
     ``const(n)`` embeds the integer n, ``var()`` gives the variable's value,
     ``add`` and ``mul`` take the values of a whole chain as arguments, a/b
-    is mul(a, inv(b)) and a^n is repeated squaring."""
+    is mul(a, inv(b)) and a^n is repeated squaring.  With ``poly``, a sum
+    chain that ``monomial_sum`` reads as sum(nums[i]/den * x^i) takes the
+    value poly(nums, den) in one step; an algebra in which the variable
+    has no value of its own, as for closed terms, must not pass it."""
 
     def leaf(u: Term):
         match u:
@@ -215,7 +233,101 @@ def interpret(t: Term, const, var, neg, add, mul, inv):
                 out = mul(out, base)
         return out
 
-    return fold(t, leaf, node)
+    def chain(u: Term):
+        read = monomial_sum(u)
+        return None if read is None else poly(*read)
+
+    return fold(t, leaf, node, None if poly is None else chain)
+
+
+# ---------------------------------------------------------------------------
+# Sums of monomials
+#
+# monomial := ["-"] (coeff | xpow | coeff "*" xpow)
+# xpow     := x | x "^" natural
+# coeff    := lit | lit "/" lit
+# lit      := ["-"] (IntLit | One | Zero)
+#
+# Every rendered polynomial part has this shape, and so has an input
+# polynomial written out term by term.
+
+
+def _literal(u: Term) -> int | None:
+    """The integer a possibly negated literal stands for, else None."""
+    sign = 1
+    if type(u) is Neg:
+        sign, u = -1, u.arg
+    kind = type(u)
+    if kind is IntLit:
+        return sign * u.value
+    if kind is One:
+        return sign
+    if kind is Zero:
+        return 0
+    return None
+
+
+def _coefficient(u: Term) -> tuple[int, int] | None:
+    """(n, d) with d > 0 for a literal or a quotient of two literals, the
+    quotient n/0 being 0 as in a meadow; else None."""
+    if type(u) is not Div:
+        n = _literal(u)
+        return None if n is None else (n, 1)
+    n, d = _literal(u.num), _literal(u.den)
+    if n is None or d is None:
+        return None
+    if n == 0 or d == 0:
+        return 0, 1
+    return (n, d) if d > 0 else (-n, -d)
+
+
+def _exponent(u: Term) -> int | None:
+    """k for x or x^k, else None."""
+    if type(u) is Var:
+        return 1
+    if type(u) is Pow and type(u.base) is Var:
+        return u.exponent
+    return None
+
+
+def _monomial(u: Term) -> tuple[int, int, int] | None:
+    """(n, d, k) for a summand that denotes n/d * x^k, else None."""
+    sign = 1
+    if type(u) is Neg:
+        sign, u = -1, u.arg
+    if type(u) is Mul:
+        coeff, k = _coefficient(u.left), _exponent(u.right)
+    elif (k := _exponent(u)) is not None:
+        coeff = (1, 1)
+    else:
+        coeff, k = _coefficient(u), 0
+    if coeff is None or k is None:
+        return None
+    return sign * coeff[0], coeff[1], k
+
+
+def monomial_sum(t: Term) -> tuple[list[int], int] | None:
+    """Integer numerators nums and a positive denominator den with t =
+    sum(nums[i]/den * x^i), when t is one monomial or a left-nested sum of
+    monomials (grammar above), else None.  den is the lcm of the
+    coefficients' denominators, and the reading stops at the first summand,
+    from the right, that is not a monomial."""
+    read = []
+    while type(t) is Add:
+        m = _monomial(t.right)
+        if m is None:
+            return None
+        read.append(m)
+        t = t.left
+    m = _monomial(t)
+    if m is None:
+        return None
+    read.append(m)
+    den = math.lcm(*[d for _, d, _ in read])
+    nums = [0] * (max(k for _, _, k in read) + 1)
+    for n, d, k in read:
+        nums[k] += n * (den // d)
+    return nums, den
 
 
 # ---------------------------------------------------------------------------

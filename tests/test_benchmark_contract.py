@@ -17,7 +17,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import run as perfbench  # noqa: E402
 
 
-@pytest.mark.parametrize("workload, count", [("queries", 16), ("pfsum", 1), ("loci", 1)])
+@pytest.mark.parametrize("workload, count",
+                         [("queries", 16), ("pfsum", 1), ("loci", 1), ("deep", 4)])
 def test_benchmark_operations_answer_correctly(workload, count):
     _, timed = perfbench.streams(workload, 3)
     latencies, wrong, raised, errors = perfbench.run_ops(meadows, timed, count=count)

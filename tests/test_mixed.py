@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 import pytest
 
-from meadows import decide, factor, mixed, normalform
+from meadows import decide, factor, mixed, normalform, terms
 from meadows.cli import main
 from meadows.checks import (
     check_emission,
@@ -26,13 +26,30 @@ from meadows.mixed import (
     to_term,
 )
 from meadows.normalform import (
+    NF,
     Model,
     eval_term,
     eval_term_mod,
     normalize,
 )
-from meadows.poly import P_ONE, P_ZERO, Poly, StdPoly, poly_bezout, standardize
-from meadows.terms import Div, TermClass, classify, format_term, interpret, parse
+from meadows.poly import P_ONE, P_ZERO, Poly, StdPoly, poly_bezout, poly_sum, standardize
+from meadows.terms import (
+    Add,
+    Div,
+    IntLit,
+    Mul,
+    Neg,
+    ONE,
+    Pow,
+    TermClass,
+    X as VAR,
+    ZERO,
+    classify,
+    format_term,
+    interpret,
+    monomial_sum,
+    parse,
+)
 
 X = Poly((0, 1))
 
@@ -457,6 +474,107 @@ def test_each_emission_is_rendered_once(monkeypatch, capsys):
                          "--dump-nf", text]) == 0
             assert len(calls) == 1
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# The read-back.  The certificate reads each rendered part with
+# ``monomial_sum``, in the one shape the renderer writes.  The oracle reads
+# any term through the term fold, one Poly per node, as the certificate
+# did before.
+
+
+def _fold_read_back(t):
+    """The polynomial a part denotes, through the fold: a constant divisor
+    inverts as a rational (0 to 0), a nonconstant one raises."""
+
+    def inv(p):
+        if not p.is_constant():
+            raise EmissionError(f"rendered part divides by {p}")
+        return Poly.constant(1 / p.content) if p else P_ZERO
+
+    return interpret(t, Poly.constant, lambda: X, operator.neg, poly_sum,
+                     lambda *v: reduce(operator.mul, v), inv)
+
+
+def _random_literal(rng):
+    n = rng.randint(-30, 30)
+    return rng.choice((ZERO, ONE, Neg(ONE), IntLit(n), Neg(IntLit(abs(n) or 1))))
+
+
+def _random_monomial(rng):
+    """A summand c*x^k in a form the reader takes: negated or not, a
+    literal or a quotient of literals (zero divisors included) as the
+    coefficient, exponents 0 to 6 so that sums repeat them."""
+    coeff = _random_literal(rng)
+    if rng.random() < 0.5:
+        coeff = Div(coeff, _random_literal(rng))
+    k = rng.randint(0, 6)
+    power = VAR if k == 1 and rng.random() < 0.5 else Pow(VAR, k)
+    body = rng.choice((coeff, power, Mul(coeff, power)))
+    return Neg(body) if rng.random() < 0.3 else body
+
+
+def _random_monomial_sum(rng, most):
+    summands = [_random_monomial(rng) for _ in range(rng.randint(1, most))]
+    if rng.random() < 0.3:  # cancel one summand
+        m = rng.choice(summands)
+        summands.append(m.arg if type(m) is Neg else Neg(m))
+    return reduce(Add, summands)
+
+
+def test_monomial_sum_agrees_with_the_fold():
+    rng = random.Random(64)
+    for _ in range(600):
+        t = _random_monomial_sum(rng, 8)
+        nums, den = monomial_sum(t)
+        assert den > 0
+        assert Poly.from_ints(nums, den) == _fold_read_back(t)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("5/0*x^3 + 2", Poly((2,))),
+    ("0/5*x + 1/1", P_ONE),
+    ("x^0 + x^0 - 0", Poly((2,))),
+    ("3*x^2 - 3*x^2", P_ZERO),
+    ("-1/2*x + 1/3*x", Poly((0, Fraction(-1, 6)))),
+    ("2/-4*x^2 - -1", Poly((1, 0, Fraction(-1, 2)))),
+    ("-x", Poly((0, -1))),
+])
+def test_monomial_sum_reads_meadow_coefficients(text, expected):
+    t = parse(text)
+    assert Poly.from_ints(*monomial_sum(t)) == _fold_read_back(t) == expected
+
+
+def _plain_normalize(monkeypatch, t, model):
+    """The normal form through the fold alone, without the reader."""
+    with monkeypatch.context() as m:
+        m.setattr(terms, "monomial_sum", lambda t: None)
+        return normalize(t, model)
+
+
+def test_monomial_sum_declines_a_parenthesized_right_summand(monkeypatch):
+    rng = random.Random(65)
+    for _ in range(100):
+        right = Add(_random_monomial_sum(rng, 3), _random_monomial(rng))
+        t = Add(_random_monomial_sum(rng, 4), right)
+        assert monomial_sum(t) is None
+        assert monomial_sum(right) is not None
+        for model in Model:
+            nf = normalize(t, model)
+            assert nf == NF(model, _fold_read_back(t), P_ONE)
+            assert nf == _plain_normalize(monkeypatch, t, model)
+
+
+@pytest.mark.parametrize("text", [
+    "x*x", "2*3*x", "(x+1)^2", "x/2", "x^2*3", "-(-x)", "x + 1/x", "(3)/(x)",
+])
+def test_monomial_sum_declines_terms_outside_its_grammar(monkeypatch, text):
+    t = parse(text)
+    assert monomial_sum(t) is None
+    with pytest.raises(EmissionError):
+        mixed._read_back(t)
+    for model in Model:
+        assert normalize(t, model) == _plain_normalize(monkeypatch, t, model)
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,39 @@ def test_rational_loci_multiply_back_to_locus_and_support():
             assert rs == normalform.distinct_irreducible_factors(p)
 
 
+def test_linear_loci_are_read_without_the_root_finder(monkeypatch, cold_caches):
+    rng = random.Random(36)
+    ps = [Poly([rng.randint(-30, 30), rng.choice((-1, 1)) * rng.randint(1, 12)])
+          .scale(Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5)))
+          for _ in range(200)]
+    general = {Model.RAT: [tuple(Poly((-a.numerator, a.denominator))
+                                 for a in normalform.rational_roots(p)) for p in ps],
+               Model.COMPLEX: [normalform.distinct_irreducible_factors(p) for p in ps]}
+
+    def fail(*args):
+        raise AssertionError("a linear locus went through the general path")
+
+    monkeypatch.setattr(normalform, "rational_roots", fail)
+    monkeypatch.setattr(normalform, "distinct_irreducible_factors", fail)
+    for model in Model:
+        assert [loci(p, model) for p in ps] == general[model]
+
+
+def test_dense_polynomial_text_normalizes_without_a_product(monkeypatch):
+    # A polynomial written out term by term is read as one sum of
+    # monomials: no x^k by repeated squaring, no coefficient times a power.
+    rng = random.Random(37)
+    p = Poly([Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(24)]
+             + [rng.randint(1, 99)])
+    t = parse(str(p))
+    calls = []
+    product = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda *a: calls.append(a) or product(*a))
+    for model in Model:
+        assert normalize(t, model) == NF(model, p, P_ONE)
+    assert calls == []
+
+
 def test_soundness_spec_scale():
     assert check_nf_soundness(seed=34, rounds=1000, points=25).ok
 

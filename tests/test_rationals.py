@@ -62,6 +62,14 @@ def test_eval_closed_rejects_variable():
         eval_closed(parse("x + 1"))
 
 
+@pytest.mark.parametrize("text", ["x - x", "x^0 + 1", "0*x + 1"])
+def test_eval_closed_rejects_a_variable_that_cancels(text):
+    # Each is a sum of monomials with a constant value; reading it as one
+    # polynomial would hide the variable, so closed evaluation folds it.
+    with pytest.raises(ValueError, match="not closed"):
+        eval_closed(parse(text))
+
+
 def test_axioms_hold_under_closed_evaluation():
     # all metavariables instantiated with closed terms
     rng = random.Random(11)

@@ -5,13 +5,15 @@ squarefree part, factor the primitive integer polynomial modulo a small
 prime not dividing its lead (distinct-degree plus equal-degree splitting),
 Hensel lift to a modulus beyond the Landau-Mignotte coefficient bound
 times the lead, and recombine modular factors, scaled by the lead, by
-trial division.  Every returned factor is irreducible over Q, primitive
-with integer coefficients and positive leading coefficient.  The modular
-and integer steps run on the integer kernel of ``meadows.poly``
-(coefficient lists over Z or Z/m), the same one the polynomial arithmetic
-uses.  Results are cached on the squarefree part (itself memoized in
-``meadows.poly``), in one cache of CACHE_SIZE entries, since the same
-polynomials are factored repeatedly.
+trial division.  Distinct-degree factoring maps h to h^p mod v, linearly
+over GF(p): one product with v's Frobenius matrix, rows packed in slots of
+n*(p-1)^2 (n = deg v), the most a product adds to one.  Every returned
+factor is irreducible over Q, primitive with integer coefficients and
+positive leading coefficient.  The modular and integer steps run on the
+integer kernel of ``meadows.poly`` (coefficient lists over Z or Z/m), the
+same one the polynomial arithmetic uses.  Results are cached on the
+squarefree part (itself memoized in ``meadows.poly``), in one cache of
+CACHE_SIZE entries, since the same polynomials are factored repeatedly.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -125,13 +128,13 @@ def _pz_xgcd(a: list[int], b: list[int], p: int):
 
 
 def _pz_powmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
+    """base^e mod (mod, p), left to right: e.bit_length() - 1 squarings."""
     base = zx_divmod(base, mod, p)[1]
-    while e:
-        if e & 1:
+    result = base if e else [1]
+    for bit in bin(e)[3:]:
+        result = zx_divmod(zx_mul(result, result, p), mod, p)[1]
+        if bit == "1":
             result = zx_divmod(zx_mul(result, base, p), mod, p)[1]
-        base = zx_divmod(zx_mul(base, base, p), mod, p)[1]
-        e >>= 1
     return result
 
 
@@ -140,23 +143,59 @@ def _pz_powmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
 
 
 def _modp_factor(f: list[int], p: int) -> list[list[int]]:
-    """Monic irreducible factors of a squarefree monic f over GF(p)."""
-    x = [0, 1]
+    """Monic irreducible factors of a squarefree monic f over GF(p): step
+    d takes gcd(x^(p^d) - x, v), v free of factors of degree below d.  As
+    (a + b)^p = a^p + b^p and c^p = c on GF(p), h -> h^p is linear, and
+    after step 1 it is one product with v's Frobenius matrix, in slots of
+    n*(p-1)^2, built when a step needs it and after v loses a factor."""
     factors: list[list[int]] = []
     v = list(f)
-    h = x
+    h = zx_divmod([0] * p + [1], v, p)[1]
     d = 0
+    frobenius = None
     while len(v) - 1 >= 2 * (d + 1):
         d += 1
-        h = _pz_powmod(h, p, v, p)
-        g = zx_gcd(zx_sub(h, x, p), v, p)
+        if d > 1:
+            frobenius = frobenius or _frobenius(v, p)
+            h = frobenius(h)
+        g = zx_gcd(zx_sub(h, [0, 1], p), v, p)
         if len(g) - 1 > 0:
             factors.extend(_equal_degree_split(g, d, p))
             v = zx_divmod(v, g, p)[0]
             h = zx_divmod(h, v, p)[1]
+            frobenius = None
     if len(v) - 1 > 0:
         factors.append(v)
     return factors
+
+
+def _frobenius(v: list[int], p: int):
+    """h -> h^p mod v (deg v = n) as the sum of h_i * x^(i*p) mod v, row i
+    one integer of n native-order slots, slot i coefficient i.  Row i+1,
+    x^p * row i, is the same product with the rows x^(p+k) mod v: x^(p+k)
+    below x^n, beyond it each the one before shifted up and folded by v."""
+    n, order = len(v) - 1, sys.byteorder
+    width = 1 << (((n * (p - 1) ** 2).bit_length() + 7) // 8 - 1).bit_length()
+    _require(width <= 8, "Frobenius slots wider than 64 bits")
+    fmt = "BHIQ"[width.bit_length() - 1]
+
+    def pack(c: list[int]) -> int:
+        return int.from_bytes(b"".join(a.to_bytes(width, order)
+                                       for a in c + [0] * (n - len(c))), order)
+
+    def product(rows: list[int], h: list[int]) -> list[int]:
+        acc = sum(c * row for c, row in zip(h, rows)).to_bytes(n * width, order)
+        return zx_trim([c % p for c in memoryview(acc).cast(fmt)])
+
+    folded = [[-c % p for c in v[:-1]]]  # x^n mod v
+    while len(folded) < p:
+        folded.append([(a - folded[-1][-1] * b) % p for a, b in zip([0] + folded[-1][:-1], v)])
+    times_xp = [pack(c) for c in [[0] * m + [1] for m in range(p, n)] + folded[-n:]]
+    row, rows = [1], [pack([1])]
+    for _ in range(n - 1):
+        row = product(times_xp, row)
+        rows.append(pack(row))
+    return lambda h: product(rows, h)
 
 
 def _equal_degree_split(g: list[int], d: int, p: int) -> list[list[int]]:

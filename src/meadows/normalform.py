@@ -255,18 +255,18 @@ def nf_neg(a: NF) -> NF:
     return NF(a.model, -a.num, a.den, a.locus, -a.residue)
 
 
-def _combine(values: tuple[NF | Poly, ...], op, unit: Poly, base) -> NF:
-    """Sum or product (op, with neutral element unit) of normal forms and
-    polynomials, at least one a normal form.  The polynomials merge into
-    one first; ``base`` gives the unreduced num/den of all operands.  Every
-    point that may need a correction is a root of the lcm of the operands'
-    supports, where the result is the op of the operands' residues."""
+def _combine(values: tuple[NF | Poly, ...], merge, op, base) -> NF:
+    """Sum or product of normal forms and polynomials, at least one a normal
+    form: ``merge`` on any number of polynomials, merge() the unit, ``op``
+    on two.  Polynomials merge into one first; ``base`` gives the unreduced
+    num/den of all operands.  Every point that may need a correction is a
+    root of the lcm of the operands' supports, where op combines residues."""
     rest = [v for v in values if type(v) is NF]
     model = rest[0].model
     if any(nf.model is not model for nf in rest):
         raise TypeError("cannot combine normal forms of different models")
-    p = reduce(op, (v for v in values if type(v) is Poly), unit)
-    if p != unit:
+    p = merge(*(v for v in values if type(v) is Poly))
+    if p != merge():
         rest.append(NF(model, p, P_ONE))
     if len(rest) == 1:
         return rest[0]
@@ -274,7 +274,7 @@ def _combine(values: tuple[NF | Poly, ...], op, unit: Poly, base) -> NF:
     for m in {nf.support for nf in rest}:
         modulus = m if modulus.is_constant() else modulus * _quo(m, _gcd(modulus, m))
     residue = reduce(lambda s, nf: op(s, nf.value_mod(modulus)) % modulus,
-                     rest, unit)
+                     rest, merge())
     return _make(model, *base(rest), modulus, residue)
 
 
@@ -295,13 +295,14 @@ def _product_base(nfs: list[NF]) -> tuple[Poly, Poly]:
 def nf_add(*values: NF | Poly) -> NF:
     """Sum of normal forms and polynomials (at least one normal form),
     over the lcm of their denominators."""
-    return _combine(values, operator.add, P_ZERO, _sum_base)
+    return _combine(values, poly_sum, operator.add, _sum_base)
 
 
 def nf_mul(*values: NF | Poly) -> NF:
     """Product of normal forms and polynomials (at least one normal
     form)."""
-    return _combine(values, operator.mul, P_ONE, _product_base)
+    return _combine(values, lambda *ps: reduce(operator.mul, ps, P_ONE), operator.mul,
+                    _product_base)
 
 
 def nf_inv(a: NF) -> NF:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,8 @@ from meadows.factor import (
 )
 from meadows.generate import random_int_poly
 from meadows.normalform import NF, Model, root
-from meadows.poly import P_ONE, Poly, lagrange_interpolate
+from meadows.poly import (P_ONE, Poly, lagrange_interpolate, zx_divmod, zx_gcd, zx_mul,
+                          zx_primitive, zx_sub, zx_trim)
 
 X = Poly((0, 1))
 
@@ -296,10 +298,21 @@ def _factor_corpus():
     return corpus
 
 
+def _shifted(p: Poly, c: int) -> Poly:
+    """p(x + c), by Horner's rule."""
+    out = Poly()
+    for a in reversed(p.coeffs):
+        out = out * Poly((c, 1)) + Poly.constant(a)
+    return out
+
+
 def test_factorizations_match_sympy():
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
-    for p in _factor_corpus():
+    rng = random.Random(29)
+    loci = [_eisenstein(rng, 24, lead) for lead in (1, 5, 8)]
+    loci.append(_shifted(_swinnerton_dyer((2, 3, 5, 7)), 3))
+    for p in _factor_corpus() + loci:
         unit, factors = sympy.factor_list(
             sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(p.coeffs)),
             x)
@@ -312,3 +325,140 @@ def test_factorizations_match_sympy():
         fact = factor_rationals(p)
         assert dict(fact.factors) == expected
         assert fact.unit == Fraction(str(unit))
+
+
+# ---------------------------------------------------------------------------
+# Distinct-degree factoring by the Frobenius matrix
+
+
+def _modp_factor_powering(f: list[int], p: int) -> list[list[int]]:
+    """Oracle for ``factor._modp_factor``: distinct-degree factoring that
+    raises h to the p-th power modulo v by square and multiply at every
+    step, with the same equal-degree splitting."""
+    x = [0, 1]
+    factors: list[list[int]] = []
+    v = list(f)
+    h = x
+    d = 0
+    while len(v) - 1 >= 2 * (d + 1):
+        d += 1
+        h = factor._pz_powmod(h, p, v, p)
+        g = zx_gcd(zx_sub(h, x, p), v, p)
+        if len(g) - 1 > 0:
+            factors.extend(factor._equal_degree_split(g, d, p))
+            v = zx_divmod(v, g, p)[0]
+            h = zx_divmod(h, v, p)[1]
+    if len(v) - 1 > 0:
+        factors.append(v)
+    return factors
+
+
+ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61]
+
+
+def _squarefree_reduction(f: list[int], p: int) -> list[int] | None:
+    """f modulo p made monic, or None where p divides the lead or the
+    reduction is not squarefree."""
+    if f[-1] % p == 0:
+        return None
+    fp = zx_primitive([c % p for c in f], p)
+    deriv = zx_trim([i * c % p for i, c in enumerate(fp) if i])
+    return fp if len(zx_gcd(fp, deriv, p)) == 1 else None
+
+
+def test_frobenius_ddf_matches_the_powering_oracle():
+    # Random inputs of every degree 1-40, each at three of the odd primes
+    # to 61 in turn, cover p < n and p > n; Eisenstein and Swinnerton-Dyer
+    # reductions, at every prime, split into many factors of equal degree.
+    rng = random.Random(71)
+    cases = [([rng.randint(-99, 99) for _ in range(n)] + [1], ODD_PRIMES[(3 * n + k) % 17])
+             for n in range(1, 41) for k in range(3)]
+    inputs = [_eisenstein(rng, rng.randint(4, 24), rng.choice((1, 2, 4, 5, 7, 8))).ints
+              for _ in range(6)]
+    inputs += [_swinnerton_dyer((2, 3, 5, 7)).ints, _swinnerton_dyer((2, 3, 5, 7, 11)).ints]
+    cases += [(list(f), p) for f in inputs for p in ODD_PRIMES]
+    checked = 0
+    for f, p in cases:
+        fp = _squarefree_reduction(f, p)
+        if fp is not None:
+            assert factor._modp_factor(fp, p) == _modp_factor_powering(fp, p)
+            checked += 1
+    assert checked >= 200
+
+
+def test_frobenius_slots_widen_with_degree_and_prime():
+    # n*(p-1)^2 fits in 1, 2, 4 and 8 bytes in turn; the map equals
+    # powering on random residues in each.
+    rng = random.Random(75)
+    for n, p in ((8, 3), (8, 5), (40, 61), (3, 40009)):
+        v = [rng.randrange(p) for _ in range(n)] + [1]
+        frobenius = factor._frobenius(v, p)
+        for _ in range(5):
+            h = zx_trim([rng.randrange(p) for _ in range(n)])
+            assert frobenius(h) == factor._pz_powmod(h, p, v, p)
+    with pytest.raises(FactorizationError, match="wider than 64 bits"):
+        factor._frobenius([1, 0, 0, 1], 2**61 - 1)
+
+
+def test_pz_powmod_matches_repeated_multiplication():
+    rng = random.Random(72)
+    for p in (3, 5, 13, 61):
+        for degree in (1, 4, 9):
+            mod = [rng.randrange(p) for _ in range(degree)] + [1]
+            base = zx_trim([rng.randrange(p) for _ in range(12)])
+            expected = [1]
+            for e in range(301):
+                assert factor._pz_powmod(base, e, mod, p) == expected
+                expected = zx_divmod(zx_mul(expected, base, p), mod, p)[1]
+
+
+def test_pz_powmod_squares_once_per_bit_below_the_top(monkeypatch):
+    squarings = []
+    zx_mul_ = factor.zx_mul
+
+    def counted(a, b, m=None):
+        if a is b:
+            squarings.append(m)
+        return zx_mul_(a, b, m)
+
+    monkeypatch.setattr(factor, "zx_mul", counted)
+    for e in range(301):
+        squarings.clear()
+        factor._pz_powmod([1, 1], e, [2, 0, 0, 1], 7)
+        assert len(squarings) == max(e.bit_length() - 1, 0)
+
+
+def test_distinct_degree_steps_never_power(monkeypatch, cold_caches):
+    # Square and multiply is left to equal-degree splitting.
+    callers = []
+    powmod = factor._pz_powmod
+
+    def spied(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return powmod(*args)
+
+    monkeypatch.setattr(factor, "_pz_powmod", spied)
+    rng = random.Random(73)
+    for _ in range(3):
+        distinct_irreducible_factors(_eisenstein(rng, 24, 8))
+        distinct_irreducible_factors(_eisenstein(rng, 12, 1) * _eisenstein(rng, 12, 5))
+    assert set(callers) == {"_equal_degree_split"}
+
+
+def test_degrees_two_and_three_build_no_frobenius_matrix(monkeypatch, cold_caches):
+    built = []
+    frobenius = factor._frobenius
+
+    def spied(v, p):
+        built.append(len(v) - 1)
+        return frobenius(v, p)
+
+    monkeypatch.setattr(factor, "_frobenius", spied)
+    rng = random.Random(74)
+    for degree in (2, 3) * 20:
+        p = Poly([rng.choice((-1, 1)) * rng.randint(1, 9)]
+                 + [rng.randint(-9, 9) for _ in range(degree - 1)] + [rng.randint(1, 9)])
+        distinct_irreducible_factors(p)
+    assert built == []
+    distinct_irreducible_factors(_eisenstein(rng, 24, 8))
+    assert built and min(built) >= 4

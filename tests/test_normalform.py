@@ -396,6 +396,35 @@ def test_normalize_matches_the_nf_only_algebra(model, make):
         assert normalize(t, model) == _reference_normalize(t, model)
 
 
+def _pairwise_sum(values):
+    """A sum of polynomials and normal forms folded two at a time, each
+    pair of polynomials by ``Poly.__add__``."""
+    acc = values[0]
+    for v in values[1:]:
+        acc = acc + v if type(acc) is Poly and type(v) is Poly else nf_add(acc, v)
+    return acc
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_sum_chains_merge_their_polynomials_like_the_pairwise_fold(model):
+    # A chain that ends in a parenthesized summand is not a monomial sum,
+    # so all its summands reach one nf_add; its polynomials, with rational
+    # contents, are merged by one poly_sum.
+    rng = random.Random(64)
+    for n in (1, 2, 7, 60, 300):
+        texts = [rng.choice(("x", "x^2 - x", f"({rng.randint(-9, 9)}*x^{rng.randint(0, 5)}"
+                                             f" - {rng.randint(0, 9)})/{rng.randint(1, 6)}"))
+                 for _ in range(n)]
+        tails = [f"({format_term(random_term(rng, depth=4))})", "(1/(x + 1) + x)"]
+        values = [normalize(parse(t), model).num for t in texts]
+        values += [normalize(parse(t), model) for t in tails]
+        text = " + ".join(f"({t})" for t in texts) + " + " + " + ".join(tails)
+        expected = _pairwise_sum(values)
+        assert normalize(parse(text), model) == nf_add(*values) == expected
+        rng.shuffle(values)
+        assert nf_add(*values) == _pairwise_sum(values) == expected
+
+
 def test_division_free_terms_never_enter_the_nf_algebra(monkeypatch):
     def fail(*args):
         raise AssertionError("a division-free subterm became a normal form")

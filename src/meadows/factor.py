@@ -6,7 +6,7 @@ prime not dividing its lead (distinct-degree plus equal-degree splitting),
 Hensel lift to a modulus beyond the Landau-Mignotte coefficient bound
 times the lead, and recombine modular factors, scaled by the lead, by
 trial division.  Distinct-degree factoring maps h to h^p mod v, linearly
-over GF(p): one product with v's Frobenius matrix, rows packed in slots of
+over GF(p): one product with a Frobenius matrix, rows packed in slots of
 n*(p-1)^2 (n = deg v), the most a product adds to one.  Every returned
 factor is irreducible over Q, primitive with integer coefficients and
 positive leading coefficient.  The modular and integer steps run on the
@@ -146,8 +146,8 @@ def _modp_factor(f: list[int], p: int) -> list[list[int]]:
     """Monic irreducible factors of a squarefree monic f over GF(p): step
     d takes gcd(x^(p^d) - x, v), v free of factors of degree below d.  As
     (a + b)^p = a^p + b^p and c^p = c on GF(p), h -> h^p is linear, and
-    after step 1 it is one product with v's Frobenius matrix, in slots of
-    n*(p-1)^2, built when a step needs it and after v loses a factor."""
+    after step 1 it is one product with a Frobenius matrix, in slots of
+    n*(p-1)^2, built once: h^p mod v' = (h^p mod v) mod v' for v' | v."""
     factors: list[list[int]] = []
     v = list(f)
     h = zx_divmod([0] * p + [1], v, p)[1]
@@ -157,13 +157,12 @@ def _modp_factor(f: list[int], p: int) -> list[list[int]]:
         d += 1
         if d > 1:
             frobenius = frobenius or _frobenius(v, p)
-            h = frobenius(h)
+            h = zx_divmod(frobenius(h), v, p)[1]
         g = zx_gcd(zx_sub(h, [0, 1], p), v, p)
         if len(g) - 1 > 0:
             factors.extend(_equal_degree_split(g, d, p))
             v = zx_divmod(v, g, p)[0]
             h = zx_divmod(h, v, p)[1]
-            frobenius = None
     if len(v) - 1 > 0:
         factors.append(v)
     return factors

@@ -30,8 +30,8 @@ chain is one operation, and no step recurses, so terms of any depth
 normalize.  A sum of monomials c*x^k with literal coefficients, as input
 polynomials are written, is read at once into one ``Poly``
 (``terms.monomial_sum``); any other x^k is a chain of monomial shifts.
-Each quotient-ring inverse is computed once per process, in a bounded
-cache like the factor caches.
+A linear residue, the only kind on partial-fraction sums, is inverted in
+closed form; any other once per process, in a bounded cache.
 """
 
 from __future__ import annotations
@@ -226,18 +226,56 @@ def _make(model: Model, num: Poly, den: Poly, modulus: Poly, values: Poly) -> NF
 def quotient_inv(a: Poly, modulus: Poly) -> Poly:
     """Meadow inverse of the residue a in Q[x]/(modulus), modulus
     squarefree: 0 on the roots of g = gcd(a, modulus) and a^{-1}, taken
-    modulo modulus/g, on the others.  A constant inverts as a rational."""
+    modulo modulus/g, on the others.  A constant inverts as a rational, a
+    linear residue in closed form, any other by ``_bezout_inverse``."""
     if a.is_zero():
         return P_ZERO
     if a.is_constant():
         return Poly.constant(1 / a.content)
+    if a.degree == 1:
+        return _linear_inverse(a, modulus)
     return _bezout_inverse(a, modulus)
 
 
-# Only nonconstant residues are memoized: the constant ones (every residue
-# modulo a linear locus) need no Bezout and would only crowd the cache.  The
-# gcd is taken once per pair, and a residue that shares a factor with the
-# modulus is cached with its split inverse.
+def _synthetic_division(p, e: int, b: int) -> tuple[list[int], int]:
+    """(w, r) with b^n * p = (b*x - e) * w + r for the integer polynomial p
+    of degree n: Horner's rule at e/b, homogenized, so r = b^n * p(e/b)."""
+    acc, power, ts = 0, 1, []
+    for c in reversed(p):
+        acc = acc * e + c * power
+        power *= b
+        ts.append(acc)
+    r, w, power = ts.pop(), [], 1
+    for t in reversed(ts):
+        w.append(t * power)
+        power *= b
+    return w, r
+
+
+def _linear_inverse(a: Poly, modulus: Poly) -> Poly:
+    """``quotient_inv`` of a = c*L, L = b*x - e primitive with root t = e/b,
+    modulo M.  Synthetic division gives L*W = M - M(t).  If M(t) != 0,
+    a^{-1} = -W/(c*M(t)).  Otherwise U = M/L, up to a constant, has
+    U(t) != 0 as M is squarefree, V = -((U - U(t))/L)/(c*U(t)) inverts a
+    modulo U, and V - (V(t)/U(t))*U is also 0 at t."""
+    c, e, b = a.content, -a.ints[0], a.ints[1]
+    w, r = _synthetic_division(modulus.ints, e, b)
+    if r:
+        return Poly.from_ints(w).scale(Fraction(-c.denominator, c.numerator * r))
+    if len(w) == 1:
+        return P_ZERO  # M is L up to a constant
+    # U = w, of degree n - 1 = deg M - 1, and b^(n-1)*U = L*v + r_u, so
+    # V = -v/(c*r_u) and V(t)/U(t) = -r_v/(c*r_u^2), r_v = b^(n-1)*v(t).
+    v, r_u = _synthetic_division(w, e, b)
+    r_v = b * _synthetic_division(v, e, b)[1]
+    s = [r_v * w_k - r_u * v_k for w_k, v_k in zip(w, v + [0])]
+    return Poly.from_ints(s).scale(Fraction(c.denominator, c.numerator * r_u * r_u))
+
+
+# Only residues of degree 2 and more are memoized: constant and linear ones
+# are inverted in closed form, need no Bezout and would only crowd the
+# cache.  The gcd is taken once per pair, and a residue that shares a factor
+# with the modulus is cached with its split inverse.
 @lru_cache(maxsize=CACHE_SIZE)
 def _bezout_inverse(a: Poly, modulus: Poly) -> Poly:
     g = _gcd(a, modulus)
@@ -266,6 +304,9 @@ def _combine(values: tuple[NF | Poly, ...], merge, op, base) -> NF:
     if any(nf.model is not model for nf in rest):
         raise TypeError("cannot combine normal forms of different models")
     p = merge(*(v for v in values if type(v) is Poly))
+    if len(rest) == 1 and op is operator.mul and p.is_constant() and p:
+        nf, k = rest[0], p.content  # a scale keeps the base reduced, the locus minimal
+        return NF(model, nf.num.scale(k), nf.den, nf.locus, nf.residue.scale(k))
     if p != merge():
         rest.append(NF(model, p, P_ONE))
     if len(rest) == 1:

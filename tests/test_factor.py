@@ -462,3 +462,23 @@ def test_degrees_two_and_three_build_no_frobenius_matrix(monkeypatch, cold_cache
     assert built == []
     distinct_irreducible_factors(_eisenstein(rng, 24, 8))
     assert built and min(built) >= 4
+
+
+def test_frobenius_matrix_is_built_once_per_prime(monkeypatch, cold_caches):
+    # h^p mod v' = (h^p mod v) mod v' for a factor v' of v, so the matrix
+    # of the first v that needs one serves every later step at that prime.
+    built = []
+    frobenius = factor._frobenius
+
+    def spied(v, p):
+        built.append(p)
+        return frobenius(v, p)
+
+    monkeypatch.setattr(factor, "_frobenius", spied)
+    rng = random.Random(76)
+    inputs = [_eisenstein(rng, 24, 8) for _ in range(10)]
+    inputs += [_swinnerton_dyer((2, 3, 5, 7)), _swinnerton_dyer((2, 3, 5, 7, 11))]
+    for f in inputs:
+        built.clear()
+        distinct_irreducible_factors(f)
+        assert built and len(built) == len(set(built))

@@ -450,6 +450,7 @@ def test_quotient_inv_agrees_with_bezout_on_miss_and_hit(cold_caches):
     for _ in range(30):
         r = _eisenstein_locus(rng, rng.randint(2, 12))
         a = Poly([rng.randint(-9, 9) for _ in range(r.degree - 1)] + [rng.randint(1, 9)])
+        assert a.degree >= 2  # constant and linear residues bypass the cache
         expected = poly_bezout(a, r)[2] % r
         for outcome in ("misses", "hits"):
             before = cache.cache_info()
@@ -463,6 +464,7 @@ def test_constant_residues_bypass_the_inverse_cache(cold_caches):
     r = Poly((-2, 0, 1))
     assert quotient_inv(Poly.constant(Fraction(-3, 4)), r) == Poly.constant(Fraction(-4, 3))
     assert quotient_inv(P_ZERO, r) == P_ZERO
+    assert quotient_inv(Poly((3, -2)), r) == Poly((3, 2))
     assert normalform._bezout_inverse.cache_info().currsize == 0
 
 
@@ -481,3 +483,101 @@ def test_quotient_inv_is_the_meadow_inverse_modulo_a_reducible_modulus(cold_cach
         unit = modulus.exact_div(g)
         assert (a * s) % unit == P_ONE
         assert quotient_inv(a, modulus) == s
+
+
+# ---------------------------------------------------------------------------
+# Linear residues invert in closed form
+
+
+def _bezout_oracle(a: Poly, m: Poly) -> Poly:
+    """Meadow inverse of a modulo the squarefree m by the extended Euclid:
+    g = gcd(a, m), the inverse t modulo u = m/g by ``poly_bezout``, and the
+    CRT s = g*((t * g^{-1}) mod u), which is t modulo u and 0 modulo g."""
+    g = poly_gcd(a, m)
+    u = m // g
+    if u.is_constant():
+        return P_ZERO
+    t = poly_bezout(a % u, u)[2] % u
+    if g.is_constant():
+        return t
+    return g * ((t * poly_bezout(g % u, u)[2]) % u) % m
+
+
+def _linear_case(rng, degree):
+    """(residue, modulus): a squarefree modulus of the given degree with
+    distinct rational roots, sometimes a factor x^2 + k, and a rational
+    content of either sign; a linear residue with a rational content, half
+    the time vanishing at a root of the modulus."""
+    def content():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 7))
+
+    quadratic = degree >= 2 and rng.random() < 0.3
+    roots = set()
+    while len(roots) < degree - 2 * quadratic:
+        roots.add(Fraction(rng.randint(-40, 40), rng.randint(1, 6)))
+    m = Poly.constant(content())
+    for r in roots:
+        m = m * Poly((-r.numerator, r.denominator))
+    if quadratic:
+        m = m * Poly((rng.randint(1, 9), 0, 1))
+    if roots and rng.random() < 0.5:
+        root = rng.choice(sorted(roots))
+    else:
+        root = Fraction(rng.randint(-40, 40), rng.randint(1, 6))
+    return Poly((-root.numerator, root.denominator)).scale(content()), m
+
+
+def test_linear_residues_invert_like_bezout(cold_caches):
+    rng = random.Random(81)
+    shared = coprime = 0
+    for degree in list(range(1, 31)) * 12:
+        a, m = _linear_case(rng, degree)
+        s = quotient_inv(a, m)
+        assert s == _bezout_oracle(a, m)
+        assert s.degree < m.degree
+        if m(normalform.root(a)):
+            coprime += 1
+            assert (a * s) % m == P_ONE
+        else:
+            shared += 1
+            assert s(normalform.root(a)) == 0
+    assert shared > 100 and coprime > 100
+    assert normalform._bezout_inverse.cache_info().currsize == 0
+
+
+def _pfsum_text(rng):
+    """A sum of 22 fractions b/(b*x - a) with distinct poles a/b."""
+    poles = set()
+    while len(poles) < 22:
+        poles.add(Fraction(rng.randint(-40, 40), rng.randint(1, 6)))
+    return " + ".join(f"{a.denominator}/({a.denominator}*x - ({a.numerator}))"
+                      for a in poles)
+
+
+def test_partial_fraction_sums_run_no_bezout(monkeypatch, cold_caches):
+    calls = []
+    bezout = normalform.poly_bezout
+    monkeypatch.setattr(normalform, "poly_bezout",
+                        lambda *args: calls.append(args) or bezout(*args))
+    t = parse(_pfsum_text(random.Random(82)))
+    for model in Model:
+        assert normalize(t, model).den.degree == 22
+    assert calls == []
+    assert normalform._bezout_inverse.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_scaling_by_a_constant_matches_the_general_product(model):
+    # One normal form times polynomials whose product is a constant k is a
+    # scale; as the product of two normal forms it takes the general path.
+    rng = random.Random(83)
+    nfs = [normalize(parse(text), model) for text in
+           ("1/(x - 1)", "(x^2 - 2)/(x^2 - 2)", "x/x + 1/(2*x + 3)", "1/(x^2 + 1) - 1/x")]
+    nfs += [normalize(random_term(rng, depth=5), model) for _ in range(40)]
+    assert any(nf.locus != P_ONE for nf in nfs) and any(nf.locus == P_ONE for nf in nfs)
+    for nf in nfs:
+        for k in (0, 1, -1, Fraction(3, 7)):
+            c = Poly.constant(k)
+            expected = nf_mul(nf, NF(model, c, P_ONE))
+            assert nf_mul(nf, c) == nf_mul(c, nf) == expected
+            assert nf_mul(Poly.constant(2), nf, Poly.constant(Fraction(k, 2))) == expected

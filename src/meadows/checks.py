@@ -140,8 +140,9 @@ def check_desugar(seed: int = 0, rounds: int = 100) -> CheckResult:
 
 
 def check_bezout(seed: int = 0, rounds: int = 200) -> CheckResult:
-    """r*vp + v*rp = gcd holds exactly, also for the pairs (every other
-    one) given a planted common factor.  For coprime inputs quotient_inv
+    """r*vp + v*rp = g holds exactly, also for the pairs (every other
+    one) given a planted common factor, and g, which quotient_inv also
+    takes from Bezout, is poly_gcd's.  For coprime inputs quotient_inv
     is the inverse modulo b twice, for nonlinear a from the inverse cache
     the second time; when a shares a factor with b it is the meadow inverse
     modulo the squarefree part m of b: s*a*s = s and a*s*a = a modulo m."""

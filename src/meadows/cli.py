@@ -51,7 +51,10 @@ def _read_inputs(args) -> None:
         if 0 < limit < digits:
             raise ValueError(f"point has a number of {digits} digits, over the "
                              f"limit of {limit}")
-        args.point = Fraction(args.point)
+        try:
+            args.point = Fraction(args.point)
+        except ZeroDivisionError:
+            raise ValueError(f"point {args.point} has a zero denominator") from None
 
 
 def _model(tag: str) -> Model:

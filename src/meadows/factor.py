@@ -11,9 +11,10 @@ n*(p-1)^2 (n = deg v), the most a product adds to one.  Every returned
 factor is irreducible over Q, primitive with integer coefficients and
 positive leading coefficient.  The modular and integer steps run on the
 integer kernel of ``meadows.poly`` (coefficient lists over Z or Z/m), the
-same one the polynomial arithmetic uses.  Results are cached on the
-squarefree part (itself memoized in ``meadows.poly``), in one cache of
-CACHE_SIZE entries, since the same polynomials are factored repeatedly.
+same one the polynomial arithmetic uses; the lift's Bezout cofactors
+modulo p come from its extended Euclid, ``zx_xgcd``.  Results are cached
+on the squarefree part (itself memoized in ``meadows.poly``), in one cache
+of CACHE_SIZE entries, since the same polynomials are factored repeatedly.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 from .poly import (CACHE_SIZE, P_ONE, P_X, Poly, odd_primes_from, squarefree_part,
-                   zx_add, zx_divmod, zx_gcd, zx_mul, zx_primitive, zx_sub, zx_trim)
+                   zx_add, zx_divmod, zx_gcd, zx_mul, zx_primitive, zx_sub, zx_trim, zx_xgcd)
 from .rationals import Rat
 
 
@@ -111,20 +112,6 @@ def _monic_divmod(a: list[int], b: list[int], m: int | None = None):
 
 # ---------------------------------------------------------------------------
 # Arithmetic modulo a prime p
-
-
-def _pz_xgcd(a: list[int], b: list[int], p: int):
-    """(g, s, t) with s*a + t*b = g (monic) over GF(p)."""
-    r0, r1 = zx_trim([c % p for c in a]), zx_trim([c % p for c in b])
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r, _ = zx_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, zx_sub(s0, zx_mul(q, s1, p), p)
-        t0, t1 = t1, zx_sub(t0, zx_mul(q, t1, p), p)
-    inv = pow(r0[-1], -1, p)
-    return tuple(zx_trim([x * inv % p for x in c]) for c in (r0, s0, t0))
 
 
 def _pz_powmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
@@ -251,7 +238,7 @@ def _hensel_lift_tree(f: list[int], mods: list[list[int]], p: int, modulus: int)
     mid = len(mods) // 2
     g, h = (reduce(lambda u, v: zx_mul(u, v, p), part)
             for part in (mods[:mid], mods[mid:]))
-    one, s, t = _pz_xgcd(g, h, p)
+    one, s, t = zx_xgcd(g, h, p)
     _require(one == [1], "modular factors are not coprime")
     m = p
     fm = [c % modulus for c in f]

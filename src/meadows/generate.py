@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .poly import Poly
 from .rationals import Rat
-from .terms import Add, Div, IntLit, Mul, Neg, ONE, Pow, Term, X, ZERO
+from .terms import Add, Div, IntLit, Mul, Neg, ONE, Pow, Term, X, ZERO, int_literal
 
 _LEAVES = ("var", "lit", "zero", "one")
 _LEAF_WEIGHTS = (40, 45, 8, 7)
@@ -63,16 +63,8 @@ def random_closed_fraction_term(rng: random.Random, bound: int = 9) -> Term:
     """A closed simple fraction p/q with small integer literals."""
     num = rng.randint(-bound, bound)
     den = rng.randint(1, bound)
-    num_term: Term = Neg(_lit(-num)) if num < 0 else _lit(num)
-    return Div(num_term, _lit(den))
-
-
-def _lit(n: int) -> Term:
-    if n == 0:
-        return ZERO
-    if n == 1:
-        return ONE
-    return IntLit(n)
+    num_term: Term = Neg(int_literal(-num)) if num < 0 else int_literal(num)
+    return Div(num_term, int_literal(den))
 
 
 def random_int_poly(rng: random.Random, max_degree: int,

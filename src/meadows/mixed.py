@@ -38,7 +38,6 @@ from .rationals import Rat
 from .terms import (
     Add,
     Div,
-    IntLit,
     Mul,
     Neg,
     ONE,
@@ -47,6 +46,7 @@ from .terms import (
     X,
     ZERO,
     format_term,
+    int_literal,
     monomial_sum,
 )
 
@@ -264,14 +264,6 @@ def emit_with_witness(t: Term) -> tuple[MixedFraction, int]:
 # Term rendering
 
 
-def _literal(n: int) -> Term:
-    if n == 0:
-        return ZERO
-    if n == 1:
-        return ONE
-    return IntLit(n)
-
-
 def _coeff_poly_term(numerators, denominator: int) -> Term:
     """Term displaying sum(numerators[i]/denominator * x^i), highest power
     first, coefficients as integer literals or closed simple fractions."""
@@ -280,25 +272,18 @@ def _coeff_poly_term(numerators, denominator: int) -> Term:
         r = numerators[i]
         if r == 0:
             continue
-        negative = r < 0
         mag = abs(r)
         if denominator == 1:
-            coeff: Term | None = None if mag == 1 and i > 0 else _literal(mag)
+            coeff: Term | None = None if mag == 1 and i > 0 else int_literal(mag)
         else:
-            coeff = Div(_literal(mag), _literal(denominator))
+            coeff = Div(int_literal(mag), int_literal(denominator))
         if i == 0:
             body = coeff if coeff is not None else ONE
         else:
             xpow: Term = X if i == 1 else Pow(X, i)
             body = xpow if coeff is None else Mul(coeff, xpow)
-        parts.append((negative, body))
-    if not parts:
-        return ZERO
-    negative, body = parts[0]
-    acc: Term = Neg(body) if negative else body
-    for negative, body in parts[1:]:
-        acc = Add(acc, Neg(body) if negative else body)
-    return acc
+        parts.append(Neg(body) if r < 0 else body)
+    return reduce(Add, parts) if parts else ZERO
 
 
 def to_term(mf: MixedFraction) -> Term:

@@ -274,13 +274,15 @@ def _linear_inverse(a: Poly, modulus: Poly) -> Poly:
 
 # Only residues of degree 2 and more are memoized: constant and linear ones
 # are inverted in closed form, need no Bezout and would only crowd the
-# cache.  The gcd is taken once per pair, and a residue that shares a factor
-# with the modulus is cached with its split inverse.
+# cache.  One extended Euclid per pair gives the gcd and the cofactor: the
+# cofactor is the inverse when the gcd is 1, and a residue that shares a
+# factor with the modulus is cached with its split inverse.
 @lru_cache(maxsize=CACHE_SIZE)
 def _bezout_inverse(a: Poly, modulus: Poly) -> Poly:
-    g = _gcd(a, modulus)
-    if g.is_constant():
-        return poly_bezout(a, modulus)[2] % modulus
+    g, _, inverse = poly_bezout(a, modulus)
+    if g == P_ONE:
+        return inverse % modulus
+    g = g.primitive()
     unit = _quo(modulus, g)
     return crt(quotient_inv(a % unit, unit), unit, P_ZERO, g)
 

@@ -25,11 +25,13 @@ and a constant gcd of the images modulo one prime dividing neither lead
 (the image of the gcd over Z divides it and keeps its degree, so the
 inputs are coprime).  Euclid over Z runs only when all three give up.
 
-On top of it: the monic gcd over Q, the extended Euclidean identity,
-rational roots, squarefree parts, Lagrange interpolation in
-weighted-product form, standardized integer-over-common-denominator
-coefficients with a combinatorial oracle for them, and exact sums of a
-polynomial over all complex roots of another by one remainder.
+The one extended Euclid (``zx_xgcd``) serves the Hensel lift modulo a
+prime and Bezout over Q, whose identity is the integer one rescaled by
+the contents.  On top of the kernel: the monic gcd over Q, rational
+roots, squarefree parts, Lagrange interpolation in weighted-product form,
+standardized integer-over-common-denominator coefficients with a
+combinatorial oracle for them, and exact sums of a polynomial over all
+complex roots of another by one remainder.
 
 Rational roots are read p-adically, without factoring: a root n/m of the
 squarefree part f has m | lead and n | const, so lead*n/m is an integer
@@ -175,6 +177,31 @@ def zx_euclid(a, b, m: int | None = None) -> list[int]:
     while b:
         a, b = b, zx_primitive(zx_divmod(a, b, m)[1], m)
     return zx_primitive(a, m)
+
+
+def zx_xgcd(a, b, m: int | None = None) -> tuple[list[int], list[int], list[int]]:
+    """(g, s, t) with s*a + t*b = g, a gcd: monic modulo m, over Z a
+    multiple of the primitive gcd; ([], [1], []) for two zeros.  Rows
+    (r, s, t) keep s*a + t*b = r; a step k*r0 = q*r1 + r (``zx_divmod``)
+    makes k*row0 - q*row1 the next, over Z divided by the gcd of all its
+    entries, so each row is a multiple of the Euclid row over Q."""
+    (r0, s0, t0), (r1, s1, t1) = (list(a), [1], []), (list(b), [], [1])
+    while r1:
+        q, r, k = zx_divmod(r0, r1, m)
+        if not r:  # the cofactors of the zero row are never read
+            r0, s0, t0 = r1, s1, t1
+            break
+        s = zx_sub([k * c for c in s0], zx_mul(q, s1, m), m)
+        t = zx_sub([k * c for c in t0], zx_mul(q, t1, m), m)
+        if m is None:
+            g = math.gcd(*r, *s, *t)
+            if g > 1:
+                r, s, t = ([c // g for c in row] for row in (r, s, t))
+        (r0, s0, t0), (r1, s1, t1) = (r1, s1, t1), (r, s, t)
+    if m is not None and r0:
+        inv = pow(r0[-1], -1, m)
+        r0, s0, t0 = ([c * inv % m for c in row] for row in (r0, s0, t0))
+    return r0, s0, t0
 
 
 # The prime of the coprimality image: the largest prime below 2^30, so
@@ -575,7 +602,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 def poly_bezout(r: Poly, v: Poly) -> tuple[Poly, Poly, Poly]:
     """Extended Euclid: monic g = gcd(r, v) plus cofactors (g, rp, vp)
-    satisfying r*vp + v*rp = g exactly.
+    satisfying r*vp + v*rp = g exactly, the cofactors of Euclid over Q.
 
     For coprime inputs this is the identity r*vp + v*rp = 1 that inverts
     residues in quotient rings.  Raises ValueError when both inputs are
@@ -583,16 +610,12 @@ def poly_bezout(r: Poly, v: Poly) -> tuple[Poly, Poly, Poly]:
     """
     if r.is_zero() and v.is_zero():
         raise ValueError("gcd of two zero polynomials has no cofactors")
-    r0, r1 = r, v
-    s0, s1 = P_ONE, P_ZERO  # coefficients of r
-    t0, t1 = P_ZERO, P_ONE  # coefficients of v
-    while not r1.is_zero():
-        q, rem = divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    inv_lead = 1 / r0.lead
-    return r0.monic(), t0.scale(inv_lead), s0.scale(inv_lead)
+    # s*A + t*B = G for the integer parts, so with r = cr*A and v = cv*B:
+    # r*(s/(cr*lead G)) + v*(t/(cv*lead G)) = G/lead G.
+    g, s, t = zx_xgcd(r.ints, v.ints)
+    lead, cr, cv = g[-1], r.content, v.content
+    return (_scaled(g, 1, lead), _scaled(t, cv.denominator, cv.numerator * lead),
+            _scaled(s, cr.denominator, cr.numerator * lead))
 
 
 # ---------------------------------------------------------------------------

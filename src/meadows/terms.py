@@ -116,6 +116,11 @@ ONE = One()
 X = Var()
 
 
+def int_literal(n: int) -> Term:
+    """The literal of a natural number: ``ZERO``, ``ONE`` or an ``IntLit``."""
+    return ZERO if n == 0 else ONE if n == 1 else IntLit(n)
+
+
 class TermClass(enum.Enum):
     """Syntactic shape of a term.
 
@@ -490,7 +495,7 @@ def parse(text: str) -> Term:
             continue
         if c.isdecimal():
             n, pos = _natural(text, pos)
-            values.append(ZERO if n == 0 else ONE if n == 1 else IntLit(n))
+            values.append(int_literal(n))
         elif c.isalpha() or c == "_":
             start = pos
             while pos < end and (text[pos].isalnum() or text[pos] == "_"):

@@ -62,6 +62,13 @@ def test_eval_bad_point(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("point", ["1/0", "-3/00"])
+def test_eval_point_with_a_zero_denominator_is_malformed_input(capsys, point):
+    code, out, err = run(capsys, "eval", "x", point)
+    assert (code, out) == (2, "")
+    assert err == f"error: point {point} has a zero denominator\n"
+
+
 @pytest.mark.parametrize("point", ["9" * 5000, "1/" + "9" * 5000, "-0." + "9" * 5000])
 def test_eval_point_over_the_digit_limit_is_malformed_input(capsys, point):
     code, out, err = run(capsys, "eval", "x", point)

@@ -37,6 +37,7 @@ from meadows.poly import (
     zx_primitive,
     zx_sub,
     zx_trim,
+    zx_xgcd,
 )
 from meadows.terms import parse
 
@@ -494,3 +495,117 @@ def test_degree_200_pair_with_a_degree_100_common_factor_is_fast():
     b = zx_mul(common, _random_zx(rng, 100, 64))
     g, seconds = _timed_gcd(a, b)
     assert g == zx_primitive(common) and seconds < 2
+
+
+# ---------------------------------------------------------------------------
+# The one extended Euclid (``zx_xgcd``) against the two it replaced: the
+# Euclid over GF(p) of the Hensel lift and the Poly-row loop over Q that
+# ``poly_bezout`` ran.  Both are kept here as oracles.
+
+
+def pz_xgcd_oracle(a: list[int], b: list[int], p: int):
+    """(g, s, t) with s*a + t*b = g (monic) over GF(p)."""
+    r0, r1 = zx_trim([c % p for c in a]), zx_trim([c % p for c in b])
+    s0, s1 = [1], []
+    t0, t1 = [], [1]
+    while r1:
+        q, r, _ = zx_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, zx_sub(s0, zx_mul(q, s1, p), p)
+        t0, t1 = t1, zx_sub(t0, zx_mul(q, t1, p), p)
+    inv = pow(r0[-1], -1, p)
+    return tuple(zx_trim([x * inv % p for x in c]) for c in (r0, s0, t0))
+
+
+def bezout_loop_oracle(r: Poly, v: Poly) -> tuple[Poly, Poly, Poly]:
+    """Extended Euclid over Q on Poly rows: (g, rp, vp) with g monic and
+    r*vp + v*rp = g."""
+    r0, r1 = r, v
+    s0, s1 = P_ONE, P_ZERO  # coefficients of r
+    t0, t1 = P_ZERO, P_ONE  # coefficients of v
+    while not r1.is_zero():
+        q, rem = divmod(r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    inv_lead = 1 / r0.lead
+    return r0.monic(), t0.scale(inv_lead), s0.scale(inv_lead)
+
+
+def _random_modp(rng: random.Random, p: int) -> list[int]:
+    kind = rng.randrange(6)
+    if kind == 0:
+        return []
+    if kind == 1:
+        return [rng.randrange(1, p)]
+    return zx_trim([rng.randrange(p) for _ in range(rng.randint(1, 12))] + [rng.randrange(1, p)])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 61, 1073741789])
+def test_xgcd_mod_p_matches_the_gf_p_euclid(p):
+    rng = random.Random(p)
+    for i in range(200):
+        a, b = _random_modp(rng, p), _random_modp(rng, p)
+        if i % 3 == 0:  # a shared factor
+            common = _random_modp(rng, p) or [1]
+            a, b = zx_mul(a, common, p), zx_mul(b, common, p)
+        if not a and not b:
+            assert zx_xgcd(a, b, p) == ([], [1], [])
+            continue
+        g, s, t = zx_xgcd(a, b, p)
+        assert (g, s, t) == pz_xgcd_oracle(a, b, p)
+        assert g[-1] == 1
+        assert zx_add(zx_mul(s, a, p), zx_mul(t, b, p), p) == g
+        assert g == zx_gcd(a, b, p)
+
+
+def test_xgcd_over_z_is_an_integer_identity():
+    for a, b in _gcd_pairs(45, 300):
+        g, s, t = zx_xgcd(a, b)
+        assert zx_add(zx_mul(s, a), zx_mul(t, b)) == g
+        assert zx_primitive(g) == zx_gcd(a, b)
+        assert math.gcd(*g, *s, *t) == 1
+
+
+def _eisenstein_zx(rng: random.Random, degree: int) -> list[int]:
+    """Dense, Eisenstein at 3 and so irreducible, with a lead prime to 3
+    that is not 1."""
+    return ([3 * rng.choice((-2, -1, 1, 2))] + [3 * rng.randint(-3, 3) for _ in range(degree - 1)]
+            + [rng.choice((2, 4, 5, 7, 8))])
+
+
+def _bezout_pairs():
+    """Rational contents of either sign, zero and constant inputs, shared
+    factors, non-monic moduli (``cases``), and degree-16 residues with
+    137-bit coefficients modulo degree-24 Eisenstein loci."""
+    rng = random.Random(46)
+    for i, (a, b) in enumerate(cases(47, 600)):
+        if i % 2:
+            common = random_fractions(rng)
+            if common:
+                a, b = ref_mul(a, common), ref_mul(b, common)
+        yield Poly(a), Poly(b)
+    for _ in range(4):
+        modulus = Poly(_eisenstein_zx(rng, 24))
+        residue = Poly([rng.randint(-2**137, 2**137) for _ in range(16)]
+                       + [rng.randint(1, 2**137)]).scale(Fraction(-5, 7))
+        yield residue, modulus
+        yield residue * Poly((rng.randint(-9, 9), 1)), modulus * Poly((rng.randint(-9, 9), 1))
+
+
+def test_bezout_matches_the_poly_row_loop():
+    seen_shared = seen_constant = seen_zero = 0
+    for r, v in _bezout_pairs():
+        if r.is_zero() and v.is_zero():
+            with pytest.raises(ValueError):
+                poly_bezout(r, v)
+            continue
+        g, rp, vp = poly_bezout(r, v)
+        assert (g, rp, vp) == bezout_loop_oracle(r, v)
+        assert r * vp + v * rp == g
+        for p in (g, rp, vp):
+            assert_invariants(p)
+        seen_shared += g.degree > 0
+        seen_constant += r.is_constant() or v.is_constant()
+        seen_zero += r.is_zero() or v.is_zero()
+    assert seen_shared > 100 and seen_constant > 50 and seen_zero > 30

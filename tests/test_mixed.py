@@ -449,13 +449,14 @@ def test_certified_emission_neither_normalizes_nor_factors(monkeypatch, cold_cac
 
 def test_loci_sum_inverts_its_shared_residue_once(monkeypatch, cold_caches):
     # In r1/r1 + 1/r2 the sum, and then the reduced base, need the inverse
-    # of r2 modulo r1: the second is a cache hit.
+    # of r2 modulo r1: the second is a cache hit.  The one other Euclid is
+    # that of r2 modulo r1*r2, whose gcd r2 sends it to the split branch.
     calls = []
     bezout = normalform.poly_bezout
     monkeypatch.setattr(normalform, "poly_bezout",
                         lambda *args: calls.append(args) or bezout(*args))
     normalize(parse(_loci_shapes(52)[0]), Model.COMPLEX)
-    assert len(calls) == 1
+    assert [(a.degree, m.degree) for a, m in calls] == [(16, 24), (16, 40)]
 
 
 def test_each_emission_is_rendered_once(monkeypatch, capsys):

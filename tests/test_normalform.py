@@ -13,7 +13,7 @@ from meadows.checks import (
     check_nf_minimality,
     check_nf_soundness,
 )
-from meadows import normalform
+from meadows import normalform, poly
 from meadows.generate import random_term
 from meadows.normalform import (
     NF,
@@ -458,6 +458,28 @@ def test_quotient_inv_agrees_with_bezout_on_miss_and_hit(cold_caches):
             assert getattr(cache.cache_info(), outcome) == getattr(before, outcome) + 1
             assert s == expected
             assert (a * s) % r == P_ONE
+
+
+def test_a_nonlinear_miss_runs_one_euclid_and_no_gcd(monkeypatch, cold_caches):
+    # The gcd comes from the same extended Euclid as the inverse.
+    calls = {"zx_gcd": 0, "poly_bezout": 0}
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    spy(normalform, "poly_bezout")
+    spy(normalform, "zx_gcd")
+    spy(poly, "zx_gcd")
+    r = _eisenstein_locus(random.Random(64), 9)
+    a = Poly((Fraction(2, 3), -4, 0, 5, 1))
+    s = quotient_inv(a, r)
+    assert (a * s) % r == P_ONE
+    assert calls == {"zx_gcd": 0, "poly_bezout": 1}
 
 
 def test_constant_residues_bypass_the_inverse_cache(cold_caches):

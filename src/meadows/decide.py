@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .mixed import _coeff_poly_term
 from .factor import _order_key
-from .normalform import Model, NF, _gcd, _quo, eval_closed, loci, normalize, root
+from .normalform import Model, NF, _gcd, _lcm, _quo, eval_closed, loci, normalize, root
 from .poly import P_ONE, Poly, trace_sum
 from .rationals import Rat
 from .terms import Div, Term
@@ -76,15 +76,12 @@ def distinguishing_witness(s: Term, t: Term, model: Model):
         return None
     if (nf1.num, nf1.den) != (nf2.num, nf2.den):
         return _base_witness(nf1, nf2)
-    # Residues are compared on the coprime parts g = gcd(R1, R2), R1/g and
-    # R2/g of the lcm, not modulo all of it; the differing part is split
-    # into its loci.
-    g = _gcd(nf1.locus, nf2.locus)
-    parts = (g, _quo(nf1.locus, g), _quo(nf2.locus, g))
-    left, right = (nf.value_mod(parts[0] * parts[1] * parts[2]) for nf in (nf1, nf2))
-    keep = [_quo(m, _gcd(m, left - right)) for m in parts]
+    # The residues are compared modulo the lcm m of the loci; the part of m
+    # where they differ is split into its loci.
+    m = _lcm(nf1.locus, nf2.locus)
+    left, right = nf1.value_mod(m), nf2.value_mod(m)
     differing = [(r, left % r, right % r)
-                 for r in loci(keep[0] * keep[1] * keep[2], model)]
+                 for r in loci(_quo(m, _gcd(m, left - right)), model)]
     if not differing:
         raise AssertionError("unequal normal forms must differ somewhere")
     if model is Model.RAT:

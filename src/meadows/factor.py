@@ -12,9 +12,10 @@ factor is irreducible over Q, primitive with integer coefficients and
 positive leading coefficient.  The modular and integer steps run on the
 integer kernel of ``meadows.poly`` (coefficient lists over Z or Z/m), the
 same one the polynomial arithmetic uses; the lift's Bezout cofactors
-modulo p come from its extended Euclid, ``zx_xgcd``.  Results are cached
-on the squarefree part (itself memoized in ``meadows.poly``), in one cache
-of CACHE_SIZE entries, since the same polynomials are factored repeatedly.
+modulo p come from its extended Euclid, ``zx_xgcd``.  Nothing is cached
+here: normalization never factors, and the output views split each
+polynomial once (``NF.corrections`` once per normal form; the emission
+targets reuse it and split only the support off the locus).
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ import math
 import random
 import sys
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 
-from .poly import (CACHE_SIZE, P_ONE, P_X, Poly, odd_primes_from, squarefree_part,
+from .poly import (P_ONE, P_X, Poly, odd_primes_from, squarefree_part,
                    zx_add, zx_divmod, zx_gcd, zx_mul, zx_primitive, zx_sub, zx_trim, zx_xgcd)
 from .rationals import Rat
 
@@ -92,11 +93,7 @@ def distinct_irreducible_factors(p: Poly) -> tuple[Poly, ...]:
         raise ValueError("cannot factor the zero polynomial")
     if p.is_constant():
         return ()
-    return _squarefree_factors_cached(squarefree_part(p))
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _squarefree_factors_cached(f: Poly) -> tuple[Poly, ...]:
+    f = squarefree_part(p)
     low = 1 if f.ints[0] == 0 else 0  # f is squarefree: x divides it at most once
     factors = [P_X] if low else []
     if len(f.ints) - low >= 2:

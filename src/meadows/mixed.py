@@ -22,7 +22,7 @@ sum of monomials with literal coefficients (``terms.monomial_sum``), and
 exact polynomial identities prove that the rendered term takes the
 normal form's value everywhere on the model's carrier (``certify``).
 Nothing is factored, except for the per-locus diagnostics
-``MixedFraction.targets`` over C.
+``MixedFraction.targets`` over C, which split only E/R.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 
+from .factor import _order_key
 from .normalform import NF, Model, crt, loci, normalize, quotient_inv, root
 from .poly import P_ONE, P_ZERO, Poly, StdPoly, standardize
 from .rationals import Rat
@@ -153,20 +154,22 @@ def _emit_from_parts(nf: NF, g: Poly, support: Poly) -> MixedFraction:
 
 
 def _targets(nf: NF, support: Poly) -> tuple:
-    """Per-locus view of an emission: each of the ``loci`` r of the
-    support E, its target v (the residue on the locus, else 0) and the
-    coefficient v * (E/r)^{-1} mod r of E/r in the patch polynomial.  Over
-    C one LocusTarget per locus; over Q one PointTarget per point, sorted,
-    weighted for the monic node product prod_{j != i} (x - a_j)."""
-    rs = loci(support, nf.model)
-    values = [nf.residue % r if (nf.locus % r).is_zero() else P_ZERO for r in rs]
+    """Per-locus view of an emission: each locus r of the support E, its
+    target v (``nf.corrections`` on R, 0 on the ``loci`` of E/R, the only
+    part split here) and the coefficient v * (E/r)^{-1} mod r of E/r in the
+    patch polynomial.  Over C one LocusTarget per locus, canonically
+    ordered; over Q one PointTarget per point, sorted, weighted for the
+    monic node product prod_{j != i} (x - a_j)."""
+    zeros = loci(support.exact_div(nf.locus), nf.model)
+    pairs = sorted([*nf.corrections, *((r, P_ZERO) for r in zeros)],
+                   key=lambda pair: _order_key(pair[0]))
     coefficients = [(v * quotient_inv(support.exact_div(r) % r, r)) % r
-                    if v else P_ZERO for r, v in zip(rs, values)]
+                    if v else P_ZERO for r, v in pairs]
     if nf.model is Model.COMPLEX:
-        return tuple(LocusTarget(*t) for t in zip(rs, values, coefficients))
-    leads = reduce(operator.mul, (r.lead for r in rs), Fraction(1))
+        return tuple(LocusTarget(r, v, c) for (r, v), c in zip(pairs, coefficients))
+    leads = reduce(operator.mul, (r.lead for r, _ in pairs), Fraction(1))
     return tuple(sorted((PointTarget(root(r), v.coeff(0), c.coeff(0) * leads / r.lead)
-                         for r, v, c in zip(rs, values, coefficients)),
+                         for (r, v), c in zip(pairs, coefficients)),
                         key=lambda t: t.point))
 
 
@@ -216,9 +219,8 @@ def certify(nf: NF, mf: MixedFraction) -> None:
 
       (a) (P*D + N) * den = num * D;
       (b) D = c * den * E for a nonzero rational c;
-      (c) (P - S)*A + P*R = 0 modulo E, that is P = S modulo R and P = 0
-          modulo A (modulo either factor one term vanishes and the other
-          factor is a unit).
+      (c) (P - S) mod R = 0 and P mod A = 0, two remainders: P = S on
+          the roots of R and P = 0 on those of A.
 
     Soundness at a point a of the carrier.  If D(a) != 0, then by (b)
     den(a) != 0 and E(a) != 0, so nf takes num(a)/den(a), and by (a) so
@@ -241,10 +243,9 @@ def certify(nf: NF, mf: MixedFraction) -> None:
         raise EmissionError("fraction denominator is not den times the support")
     if (p * d + n) * nf.den != nf.num * d:
         raise EmissionError("emitted fraction differs from num/den off the support")
-    if support != P_ONE:
-        rest = support.exact_div(nf.locus)
-        if not (((p - nf.residue) * rest + p * nf.locus) % support).is_zero():
-            raise EmissionError("polynomial part misses its target on the support")
+    if not ((p - nf.residue) % nf.locus).is_zero() or \
+            not (p % support.exact_div(nf.locus)).is_zero():
+        raise EmissionError("polynomial part misses its target on the support")
 
 
 def emit_with_witness(t: Term) -> tuple[MixedFraction, int]:

@@ -8,13 +8,15 @@ there; elsewhere it takes num/den, which is 0 where den vanishes.
 
 For squarefree R the ring Q[x]/(R) is a product of fields, hence von
 Neumann regular and itself a meadow: the inverse of a residue a is 0 on the
-roots of gcd(a, R) and a^{-1} on the others (``quotient_inv``).  So one
-residue modulo one R carries every correction, and normalization never
-splits R into irreducibles (D5 dynamic evaluation, Della Dora, Dicrescenzo
-& Duval, EUROCAL 1985).  The models differ only in ``loci``: over C all
-irreducible factors, by factoring, over Q the linear factors of the
-rational roots, found p-adically (``poly.rational_roots``).  So over Q
-nothing is factored, and over C ``NF.support`` needs no loci.
+roots of g = gcd(a, R) and a^{-1} on the others (``quotient_inv``), which
+is s^2*a for s the inverse of a modulo R/g.  So one residue modulo one R
+carries every correction, and normalization never splits R into
+irreducibles (D5 dynamic evaluation, Della Dora, Dicrescenzo & Duval,
+EUROCAL 1985): a locus is where two residues differ, read off one gcd.
+The models differ only in ``loci``: over C all irreducible factors, by
+factoring, over Q the linear factors of the rational roots, found
+p-adically (``poly.rational_roots``).  So over Q nothing is factored, and
+over C ``NF.support`` needs no loci.
 
 The form is canonical: the base is reduced with a primitive, positive-
 leading denominator, R holds exactly the points where the value differs
@@ -42,9 +44,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 
-from .factor import CACHE_SIZE, _order_key, distinct_irreducible_factors
-from .poly import (P_ONE, P_X, P_ZERO, Poly, poly_bezout, poly_sum, rational_roots,
-                   squarefree_part, zx_gcd)
+from .factor import _order_key, distinct_irreducible_factors
+from .poly import (CACHE_SIZE, P_ONE, P_X, P_ZERO, Poly, poly_bezout, poly_sum,
+                   rational_roots, squarefree_part, zx_gcd)
 from .rationals import Rat, eval_closed, eval_term, meadow_div
 from .terms import Term, interpret
 
@@ -58,10 +60,11 @@ class Model(enum.Enum):
 
 def _reduce(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     """Cancel the gcd and normalize den to primitive, positive leading.
-    A polynomial (den = 1) is already in that form."""
+    A polynomial (den = 1) is already in that form; a zero num or den gives
+    0/1, as x/0 = 0."""
     if den == P_ONE:
         return num, den
-    if num.is_zero():
+    if num.is_zero() or den.is_zero():
         return P_ZERO, P_ONE
     g = _gcd(num, den)
     if g != P_ONE:
@@ -78,6 +81,11 @@ def _gcd(a: Poly, b: Poly) -> Poly:
     if a.is_constant() or b.is_constant():
         return P_ONE
     return Poly.from_ints(zx_gcd(a.ints, b.ints))
+
+
+def _lcm(a: Poly, b: Poly) -> Poly:
+    """lcm of primitive a and b, primitive."""
+    return b if a.is_constant() else a * _quo(b, _gcd(a, b))
 
 
 def _quo(a: Poly, b: Poly) -> Poly:
@@ -207,17 +215,12 @@ class NF:
 
 def _make(model: Model, num: Poly, den: Poly, modulus: Poly, values: Poly) -> NF:
     """Normal form of the function that is num/den off the squarefree
-    modulus and the residue ``values`` on it.  The reduced base is 0 on
-    r0 = gcd(modulus, den) and num/den on r1 = modulus/r0; the locus keeps
-    the roots of each where values differs from that."""
+    modulus and the residue ``values`` on it.  Q[x]/(modulus) is a meadow,
+    so the reduced base has one residue there (``generic_mod``, 0 at den's
+    roots) and the locus is where the two residues differ: the modulus over
+    its gcd with their difference."""
     base = NF(model, *_reduce(num, den))
-    r0 = _gcd(modulus, base.den)
-    r1 = _quo(modulus, r0)
-    locus = P_ONE
-    if not r0.is_constant():
-        locus = _quo(r0, _gcd(r0, values))
-    if not r1.is_constant():
-        locus = locus * _quo(r1, _gcd(r1, values - base.generic_mod(r1)))
+    locus = _quo(modulus, _gcd(modulus, values - base.generic_mod(modulus)))
     if locus.is_constant():
         return base
     return NF(model, base.num, base.den, locus, values % locus)
@@ -275,16 +278,17 @@ def _linear_inverse(a: Poly, modulus: Poly) -> Poly:
 # Only residues of degree 2 and more are memoized: constant and linear ones
 # are inverted in closed form, need no Bezout and would only crowd the
 # cache.  One extended Euclid per pair gives the gcd and the cofactor: the
-# cofactor is the inverse when the gcd is 1, and a residue that shares a
-# factor with the modulus is cached with its split inverse.
+# cofactor is the inverse when the gcd is 1.  A residue a sharing g with M
+# is a unit modulo U = M/g; with s its inverse there, s^2*a is s modulo U
+# and 0 modulo g, the meadow inverse.
 @lru_cache(maxsize=CACHE_SIZE)
 def _bezout_inverse(a: Poly, modulus: Poly) -> Poly:
     g, _, inverse = poly_bezout(a, modulus)
     if g == P_ONE:
         return inverse % modulus
-    g = g.primitive()
-    unit = _quo(modulus, g)
-    return crt(quotient_inv(a % unit, unit), unit, P_ZERO, g)
+    unit = _quo(modulus, g.primitive())
+    s = quotient_inv(a % unit, unit)
+    return (s * s * a) % modulus
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +317,7 @@ def _combine(values: tuple[NF | Poly, ...], merge, op, base) -> NF:
         rest.append(NF(model, p, P_ONE))
     if len(rest) == 1:
         return rest[0]
-    modulus = P_ONE
-    for m in {nf.support for nf in rest}:
-        modulus = m if modulus.is_constant() else modulus * _quo(m, _gcd(modulus, m))
+    modulus = reduce(_lcm, {nf.support for nf in rest}, P_ONE)
     residue = reduce(lambda s, nf: op(s, nf.value_mod(modulus)) % modulus,
                      rest, merge())
     return _make(model, *base(rest), modulus, residue)
@@ -349,15 +351,12 @@ def nf_mul(*values: NF | Poly) -> NF:
 
 
 def nf_inv(a: NF) -> NF:
-    """Meadow inverse of a normal form: the base swaps to den/num (0/1 when
-    num is zero) and the residue is inverted in Q[x]/(locus).  No new
-    exceptional point appears: at an uncorrected root of den both the old
-    value and the new generic value are 0, and symmetrically at roots of
-    num."""
-    inverse = quotient_inv(a.residue, a.locus)
-    if a.num.is_zero():
-        return _make(a.model, P_ZERO, P_ONE, a.locus, inverse)
-    return _make(a.model, a.den, a.num, a.locus, inverse)
+    """Meadow inverse of a normal form: the base swaps to den/num, which
+    ``_reduce`` makes 0/1 when num is zero, and the residue is inverted in
+    Q[x]/(locus).  No new exceptional point appears: at an uncorrected root
+    of den both the old value and the new generic value are 0, and
+    symmetrically at roots of num."""
+    return _make(a.model, a.den, a.num, a.locus, quotient_inv(a.residue, a.locus))
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,18 @@
     PYTHONPATH=src python tests/data/record_goldens.py
 
 writes ``cli_goldens.json`` beside this file: argv, exit code and standard
-output of each run, from the meadows sources on ``PYTHONPATH``.
+output of each run, from the meadows sources on ``PYTHONPATH``.  With
+``--check`` it writes nothing: it replays the recording, prints the argv of
+each run whose exit code or output differs, and exits 1 if any does.  It
+needs only the standard library, so it checks any interpreter without
+pytest.
 """
 
+import argparse
 import io
 import json
 import random
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -94,5 +100,16 @@ def _record() -> list[dict]:
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Record or replay the CLI goldens.")
+    parser.add_argument("--check", action="store_true",
+                        help="replay the recording instead of writing it")
     path = Path(__file__).resolve().parent / "cli_goldens.json"
-    path.write_text(json.dumps(_record(), indent=1) + "\n", encoding="utf-8")
+    if not parser.parse_args().check:
+        path.write_text(json.dumps(_record(), indent=1) + "\n", encoding="utf-8")
+        sys.exit(0)
+    goldens = json.loads(path.read_text(encoding="utf-8"))
+    differing = [g["argv"] for g in goldens if run(g["argv"]) != (g["code"], g["stdout"])]
+    for argv in differing:
+        print(json.dumps(argv))
+    print(f"{len(goldens) - len(differing)} of {len(goldens)} runs match")
+    sys.exit(1 if differing else 0)

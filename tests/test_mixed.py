@@ -1,7 +1,9 @@
+import json
 import operator
 import random
 from fractions import Fraction
 from functools import reduce
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -318,8 +320,11 @@ def _patch_fraction(monkeypatch, change):
     monkeypatch.setattr(mixed, "_emit_from_parts", patched)
 
 
+# The last two have support loci off the locus, where the value is the
+# base's 0: x - 1 and x^2 - 2.
 MUTATION_CASES = [(EXAMPLE2, Model.RAT), (EXAMPLE2, Model.COMPLEX),
-                  (EXAMPLE3, Model.COMPLEX), ("x/x + 1/(x^2-2)", Model.COMPLEX)]
+                  (EXAMPLE3, Model.COMPLEX), ("x/x + 1/(x^2-2)", Model.COMPLEX),
+                  ("(x/x)/(x - 1)", Model.RAT), ("(x/x)/(x^2 - 2)", Model.COMPLEX)]
 
 
 @pytest.fixture(params=MUTATION_CASES, ids=lambda c: f"{c[1].value}:{c[0]}")
@@ -433,18 +438,28 @@ def test_certificate_agrees_with_round_trip_on_workload_shapes(text, model):
     _assert_certificate_matches_round_trip(normalize(parse(text), model))
 
 
-def test_certified_emission_neither_normalizes_nor_factors(monkeypatch, cold_caches):
-    caches = cold_caches[:1]  # the factor cache
+@pytest.fixture
+def factorings(monkeypatch):
+    """The polynomials handed to the integer factorizer, recorded as the
+    test runs."""
+    calls = []
+    zassenhaus = factor._zassenhaus
+    monkeypatch.setattr(factor, "_zassenhaus",
+                        lambda f: calls.append(f) or zassenhaus(f))
+    return calls
+
+
+def test_certified_emission_neither_normalizes_nor_factors(monkeypatch, factorings):
     nfs = [normalize(parse(t), Model.COMPLEX) for t in _loci_shapes(51)]
 
     def fail(*args):
         raise AssertionError("emit normalized its output again")
 
     monkeypatch.setattr(mixed, "normalize", fail)
-    misses = [c.cache_info().misses for c in caches]
+    before = len(factorings)
     for nf in nfs:
         emit(nf, check=True)
-    assert [c.cache_info().misses for c in caches] == misses
+    assert len(factorings) == before
 
 
 def test_loci_sum_inverts_its_shared_residue_once(monkeypatch, cold_caches):
@@ -713,11 +728,7 @@ def test_normal_form_matches_the_per_locus_design_on_workload_shapes(text, model
 # Factoring happens only at the output boundary
 
 
-def _factor_misses(caches):
-    return caches[0].cache_info().misses
-
-
-def test_a_loci_session_factors_only_the_witness_locus(cold_caches):
+def test_a_loci_session_factors_only_the_witness_locus(factorings):
     rng = random.Random(56)
     r1, r2 = _eisenstein(rng, 24), _eisenstein(rng, 16)
     sd = _swinnerton_dyer((2, 3, 5, 7), 11)
@@ -732,13 +743,11 @@ def test_a_loci_session_factors_only_the_witness_locus(cold_caches):
     assert decide.distinguishing_witness(a, other, c).locus == r1
     assert decide.finite_support_sum(b, c).value == 24
     assert decide.finite_support_sum(s, c).value == 16
-    assert _factor_misses(cold_caches) == 1
-    factor.distinct_irreducible_factors(r1)
-    assert _factor_misses(cold_caches) == 1
+    assert len(factorings) == 1
 
 
 @pytest.mark.parametrize("text", ["1 - ({0})/({0})", "1/({0}) + 1"])
-def test_complex_operations_on_a_degree_32_locus_never_factor(cold_caches, text):
+def test_complex_operations_on_a_degree_32_locus_never_factor(factorings, text):
     sd32 = _swinnerton_dyer((2, 3, 5, 7, 11), 0)
     t = parse(text.format(sd32))
     c = Model.COMPLEX
@@ -747,4 +756,203 @@ def test_complex_operations_on_a_degree_32_locus_never_factor(cold_caches, text)
     result = decide.finite_support_sum(t, c)
     expected = (32, True) if text.startswith("1 -") else (0, False)
     assert (result.value, result.support_finite) == expected
-    assert _factor_misses(cold_caches) == 0
+    assert factorings == []
+
+
+def test_dump_nf_on_sd32_factors_its_locus_once(factorings, capsys):
+    # The corrections split the locus, irreducible here; the targets reuse
+    # them and split only the support off the locus, which is 1.
+    sd32 = _swinnerton_dyer((2, 3, 5, 7, 11), 0)
+    assert main(["normalize", "--dump-nf", "--model", "c", f"1 - ({sd32})/({sd32})"]) == 0
+    assert capsys.readouterr().out.count(f"target: locus {sd32}, value 1") == 1
+    assert len(factorings) == 1
+
+
+# ---------------------------------------------------------------------------
+# The replaced paths as oracles.  Each of these is how the normal-form layer
+# used to reach the same answer: ``_make`` split the modulus at its gcd with
+# den and tested each part, a residue sharing a factor with the modulus was
+# inverted by a CRT, the witness compared the residues on three coprime
+# parts with three gcds, and the emission targets factored the whole
+# support.
+
+
+def _two_part_make(model, num, den, modulus, values):
+    _gcd, _quo = normalform._gcd, normalform._quo
+    base = NF(model, *normalform._reduce(num, den))
+    r0 = _gcd(modulus, base.den)
+    r1 = _quo(modulus, r0)
+    locus = P_ONE
+    if not r0.is_constant():
+        locus = _quo(r0, _gcd(r0, values))
+    if not r1.is_constant():
+        locus = locus * _quo(r1, _gcd(r1, values - base.generic_mod(r1)))
+    if locus.is_constant():
+        return base
+    return NF(model, base.num, base.den, locus, values % locus)
+
+
+def _crt_split_inverse(a, modulus):
+    g, _, inverse = poly_bezout(a, modulus)
+    if g == P_ONE:
+        return inverse % modulus
+    g = g.primitive()
+    unit = normalform._quo(modulus, g)
+    return normalform.crt(normalform.quotient_inv(a % unit, unit), unit, P_ZERO, g)
+
+
+def _three_gcd_witness(nf1, nf2, model):
+    _gcd, _quo = normalform._gcd, normalform._quo
+    g = _gcd(nf1.locus, nf2.locus)
+    parts = (g, _quo(nf1.locus, g), _quo(nf2.locus, g))
+    left, right = (nf.value_mod(parts[0] * parts[1] * parts[2]) for nf in (nf1, nf2))
+    keep = [_quo(m, _gcd(m, left - right)) for m in parts]
+    differing = [(r, left % r, right % r)
+                 for r in normalform.loci(keep[0] * keep[1] * keep[2], model)]
+    if model is Model.RAT:
+        a = min(normalform.root(r) for r, _, _ in differing)
+        return decide.PointWitness(a, nf1.value_at(a), nf2.value_at(a))
+    return decide.LocusWitness(*min(differing, key=lambda d: factor._order_key(d[0])))
+
+
+def _factoring_targets(nf, support):
+    rs = normalform.loci(support, nf.model)
+    values = [nf.residue % r if (nf.locus % r).is_zero() else P_ZERO for r in rs]
+    coefficients = [(v * normalform.quotient_inv(support.exact_div(r) % r, r)) % r
+                    if v else P_ZERO for r, v in zip(rs, values)]
+    if nf.model is Model.COMPLEX:
+        return tuple(mixed.LocusTarget(*t) for t in zip(rs, values, coefficients))
+    leads = reduce(operator.mul, (r.lead for r in rs), Fraction(1))
+    return tuple(sorted((mixed.PointTarget(normalform.root(r), v.coeff(0),
+                                           c.coeff(0) * leads / r.lead)
+                         for r, v, c in zip(rs, values, coefficients)),
+                        key=lambda t: t.point))
+
+
+def _golden_texts():
+    """The expressions of the recorded CLI runs in ``data/cli_goldens.json``."""
+    texts = []
+    for golden in json.loads(GOLDENS.read_text(encoding="utf-8")):
+        if golden["argv"][0] not in ("normalize", "eq", "simple", "sumstar"):
+            continue
+        words = iter(golden["argv"][1:])
+        for w in words:
+            if w == "--":
+                texts.extend(words)
+            elif w in ("--model", "--output"):
+                next(words)
+            elif not w.startswith("--"):
+                texts.append(w)
+    return list(dict.fromkeys(texts))
+
+
+def _oracle_corpus():
+    """The recorded CLI expressions, seeded random terms and terms whose
+    loci and poles share factors, and the workload shapes."""
+    rng = random.Random(57)
+    terms_ = [parse(t) for t in _golden_texts()]
+    terms_ += [random_term(rng, depth=7) for _ in range(60)]
+    terms_ += [_shared_loci_term(rng) for _ in range(60)]
+    return terms_ + [parse(t) for t in (*_loci_shapes(58), _pfsum_shape(59))]
+
+
+GOLDENS = Path(__file__).resolve().parent / "data" / "cli_goldens.json"
+ORACLE_CORPUS = _oracle_corpus()
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_make_and_the_split_inverse_agree_with_the_replaced_paths(monkeypatch, cold_caches,
+                                                                  model):
+    make, bezout = normalform._make, normalform._bezout_inverse
+    seen = {"den on the modulus": 0, "shared residue": 0}
+
+    def checked_make(*args):
+        nf = make(*args)
+        assert nf == _two_part_make(*args)
+        seen["den on the modulus"] += normalform._gcd(args[3], nf.den).degree > 0
+        return nf
+
+    def checked_inverse(a, m):
+        s = bezout(a, m)
+        assert s == _crt_split_inverse(a, m)
+        seen["shared residue"] += normalform._gcd(a, m).degree > 0
+        return s
+
+    monkeypatch.setattr(normalform, "_make", checked_make)
+    monkeypatch.setattr(normalform, "_bezout_inverse", checked_inverse)
+    for t in ORACLE_CORPUS:
+        normalize(t, model)
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_witness_agrees_with_the_three_gcd_witness(model):
+    # Each term against its own base and against itself plus c on the
+    # roots of q, which has a rational root: equal bases, other loci.
+    rng = random.Random(60)
+    compared = 0
+    for s in ORACLE_CORPUS:
+        nf1 = normalize(s, model)
+        q = Poly((-rng.randint(-5, 5), 1)) * random_int_poly(rng, 2)
+        c = random_rat(rng)
+        for t in (parse(f"({nf1.num})/({nf1.den})"),
+                  Add(s, Mul(parse(f"1 - ({q})/({q})"), parse(str(c))))):
+            nf2 = normalize(t, model)
+            if nf1 == nf2 or (nf1.num, nf1.den) != (nf2.num, nf2.den):
+                continue
+            assert decide.distinguishing_witness(s, t, model) == _three_gcd_witness(
+                nf1, nf2, model)
+            compared += 1
+    assert compared >= 100
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_targets_agree_with_the_factoring_targets(model):
+    both = 0
+    for t in ORACLE_CORPUS:
+        mf = emit(normalize(t, model))
+        if mf.source:
+            nf, support = mf.source
+            assert mf.targets == _factoring_targets(nf, support)
+            both += nf.locus != P_ONE and nf.locus != support
+    assert both
+
+
+def _shared_residues(seed, count):
+    """(residue, modulus) pairs sharing a nonlinear factor f: residues of
+    degree 2 to 12 with a rational content of either sign, and squarefree
+    moduli f*h with a rational content of either sign and non-monic f."""
+    rng = random.Random(seed)
+
+    def content():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 7))
+
+    out = []
+    while len(out) < count:
+        degree = rng.randint(2, 12)
+        f = _eisenstein(rng, rng.randint(2, min(degree, 6)))
+        u = random_int_poly(rng, degree - f.degree)
+        h = random_int_poly(rng, degree - f.degree + rng.randint(1, 3))
+        m = (f * h).scale(content())
+        a = (f * u).scale(content())
+        if a.degree == degree < m.degree and normalform._gcd(f, h) == P_ONE and \
+                normalform.squarefree_part(m).degree == m.degree:
+            out.append((a, m))
+    return out
+
+
+def test_a_residue_sharing_a_factor_inverts_like_the_crt_split(cold_caches):
+    for a, m in _shared_residues(61, 200):
+        s = normalform.quotient_inv(a, m)
+        assert s == _crt_split_inverse(a, m)
+        assert s.degree < m.degree
+        assert (a * s * a) % m == a
+        assert (s * a * s) % m == s
+
+
+def test_the_split_inverse_runs_no_crt(monkeypatch, cold_caches):
+    calls = []
+    monkeypatch.setattr(normalform, "crt", lambda *args: calls.append(args))
+    for a, m in _shared_residues(62, 40):
+        assert (a * normalform.quotient_inv(a, m) * a) % m == a
+    assert calls == []
